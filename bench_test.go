@@ -511,7 +511,7 @@ func BenchmarkSweepVsSequential(b *testing.B) {
 		items = append(items, service.SweepItem{SecuredMeasurements: []int{id}})
 	}
 	newSvc := func(b *testing.B) *service.Service {
-		svc, err := service.New(service.Config{Portfolio: 1})
+		svc, err := service.New(service.Config{})
 		if err != nil {
 			b.Fatalf("service.New: %v", err)
 		}

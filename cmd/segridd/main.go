@@ -12,14 +12,13 @@
 // Flags:
 //
 //	-addr host:port   listen address (default 127.0.0.1:8547)
-//	-concurrency n    admitted requests solving at once; also the default
-//	                  scheduler worker count (default 4)
-//	-sched-workers n  solver threads draining the shared work-unit queue; all
-//	                  requests' units (verify checks, sweep groups, portfolio
-//	                  forks) share these workers under deficit-round-robin
-//	                  fairness (0 = -concurrency)
+//	-concurrency n    solver threads draining the shared work-unit queue; all
+//	                  requests' units (verify checks, sweep groups,
+//	                  syntheses) share these workers under
+//	                  deficit-round-robin fairness (default 4)
 //	-queue n          admission queue depth; excess sheds 429 (default 16)
-//	-queue-wait d     max wait for a solve slot; past it sheds 503 (default 2s)
+//	-queue-wait d     max wait for a request's first work unit to start; past
+//	                  it sheds 503 (default 2s)
 //	-timeout d        default per-request deadline (default 30s)
 //	-max-timeout d    hard cap on client-requested deadlines (default 2m)
 //	-max-conflicts n  per-check CDCL conflict budget (0 = unlimited)
@@ -35,16 +34,13 @@
 //	-pool-idle-bytes n   idle warm-pool memory budget in bytes, enforced by the
 //	                  same global LRU order (0 = unlimited)
 //	-sweep-max-items n   per-request item cap for POST /v1/sweep (default 256)
-//	-portfolio n      default portfolio width for verification: > 1 races
-//	                  that many diversified solver instances per check, 1
-//	                  answers sequentially, -1 picks the host default
-//	                  (GOMAXPROCS, clamped); requests may override per call.
-//	                  The width is a fairness weight on the shared scheduler
-//	                  workers, not a private goroutine fleet
 //	-cube-workers n   default cube-and-conquer width for bus-granular
-//	                  synthesis (same convention; measurement-granular
-//	                  synthesis always runs sequentially)
-//	-max-workers n    hard per-request cap on either width (default 8)
+//	                  synthesis: > 1 fans the search across that many
+//	                  workers, 1 runs the sequential loop, -1 picks the host
+//	                  default (GOMAXPROCS, clamped); requests may override
+//	                  per call. Measurement-granular synthesis always runs
+//	                  sequentially
+//	-max-workers n    hard per-request cap on the cube width (default 8)
 //	-screen           enable the LP-relaxation screening tier: verify and
 //	                  sweep items the screen decides definitively are
 //	                  answered without an encoder or SMT solve ("screened":
@@ -92,10 +88,9 @@ import (
 func main() {
 	fs := flag.NewFlagSet("segridd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8547", "listen address")
-	concurrency := fs.Int("concurrency", 4, "simultaneous solves")
-	schedWorkers := fs.Int("sched-workers", 0, "solver threads draining the shared work-unit queue (0 = -concurrency)")
+	concurrency := fs.Int("concurrency", 4, "solver threads draining the shared work-unit queue")
 	queue := fs.Int("queue", 16, "admission queue depth")
-	queueWait := fs.Duration("queue-wait", 2*time.Second, "max wait for a solve slot")
+	queueWait := fs.Duration("queue-wait", 2*time.Second, "max wait for a request's first work unit to start")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "cap on client-requested deadlines")
 	maxConflicts := fs.Int64("max-conflicts", 0, "per-check CDCL conflict budget (0 = unlimited)")
@@ -106,9 +101,8 @@ func main() {
 	poolIdleTotal := fs.Int("pool-idle-total", 0, "idle warm encoders kept across all keys, LRU-evicted past it (0 = pool-live cap)")
 	poolIdleBytes := fs.Int64("pool-idle-bytes", 0, "idle warm-pool memory budget in bytes, LRU-enforced (0 = unlimited)")
 	sweepMaxItems := fs.Int("sweep-max-items", 0, "per-request item cap for POST /v1/sweep (0 = default 256)")
-	portfolio := fs.Int("portfolio", 0, "default portfolio workers for verification (1 = sequential, -1 = host default)")
 	cubeWorkers := fs.Int("cube-workers", 0, "default cube-and-conquer workers for synthesis (1 = sequential, -1 = host default)")
-	maxWorkers := fs.Int("max-workers", 0, "per-request cap on worker counts (0 = default 8)")
+	maxWorkers := fs.Int("max-workers", 0, "per-request cap on the cube worker count (0 = default 8)")
 	screenTier := fs.Bool("screen", false, "enable the LP-relaxation screening tier ahead of the SMT pipeline")
 	screenCache := fs.Int("screen-cache", 0, "screen-verdict cache entries (0 = default 1024, negative disables)")
 	_ = fs.Parse(os.Args[1:])
@@ -120,7 +114,6 @@ func main() {
 	}
 	svc, err := service.New(service.Config{
 		MaxConcurrent:        *concurrency,
-		SchedWorkers:         *schedWorkers,
 		MaxQueue:             *queue,
 		QueueWait:            *queueWait,
 		DefaultTimeout:       *timeout,
@@ -132,7 +125,6 @@ func main() {
 		PoolMaxIdle:          *poolIdleTotal,
 		PoolMaxIdleBytes:     *poolIdleBytes,
 		MaxSweepItems:        *sweepMaxItems,
-		Portfolio:            *portfolio,
 		CubeWorkers:          *cubeWorkers,
 		MaxWorkersPerRequest: *maxWorkers,
 		Screen:               *screenTier,

@@ -82,19 +82,6 @@ func (m *Model) CheckContext(ctx context.Context) (*Result, error) {
 	return m.extract(res), nil
 }
 
-// CheckPortfolioContext solves the model with a portfolio of diversified
-// solver instances racing under ctx (see smt.CheckPortfolio): the verdict is
-// the same as CheckContext's, but which concrete attack vector or certificate
-// is extracted follows the winning worker. Stats.Workers reports the
-// effective worker count.
-func (m *Model) CheckPortfolioContext(ctx context.Context, po smt.PortfolioOptions) (*Result, error) {
-	res, err := m.solver.CheckPortfolio(ctx, po)
-	if err != nil {
-		return nil, fmt.Errorf("core: attack model check: %w", err)
-	}
-	return m.extract(res.Result), nil
-}
-
 // extract converts the solver's verdict into an attack verification Result,
 // reading the attack vector out of a Sat model.
 func (m *Model) extract(res *smt.Result) *Result {

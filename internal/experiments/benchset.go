@@ -58,16 +58,12 @@ type BenchEntry struct {
 	// near-empty; the unsat/ rows measure the realistic trimming case.
 	ProofBytes        int64 `json:"proof_bytes,omitempty"`
 	ProofTrimmedBytes int64 `json:"proof_trimmed_bytes,omitempty"`
-	// PortfolioNsPerOp is the parallel-verification column: the same
-	// workload answered by a CheckPortfolio race of Workers diversified
-	// solver instances with clause sharing. The fig4a rows carry it.
-	PortfolioNsPerOp int64 `json:"portfolio_ns_per_op,omitempty"`
 	// CubeNsPerOp is the parallel-synthesis column: the same workload run
 	// in cube-and-conquer mode at Workers workers (pivot-bus sign cubes,
 	// shared counterexample-support pool, per-cube harvesting). The fig5a
 	// rows carry it.
 	CubeNsPerOp int64 `json:"cube_ns_per_op,omitempty"`
-	// Workers is the worker count behind the portfolio/cube columns.
+	// Workers is the worker count behind the cube column.
 	Workers int `json:"workers,omitempty"`
 	// SweepNsPerOp is the batched-sweep column: the same scenario family
 	// answered by one service-layer /v1/sweep (one pooled encoder per
@@ -95,14 +91,6 @@ type BenchEntry struct {
 	// verdicts are asserted equal to an idle sequential baseline inside the
 	// harness, so the column only exists when fairness changed no answer.
 	MixedP95Ms float64 `json:"mixed_p95_ms,omitempty"`
-	// SharedPortfolioNsPerOp is the cross-request portfolio column: one
-	// verification answered by a portfolio race of Workers diversified
-	// instances whose forks run as work units on the shared scheduler
-	// workers (plus the orchestrating unit helping inline) instead of a
-	// per-request goroutine fleet. Compare against the same system's
-	// fig4a portfolio_ns_per_op, which races a private fleet at the same
-	// width. The mixed/ row carries it.
-	SharedPortfolioNsPerOp int64 `json:"shared_portfolio_ns_per_op,omitempty"`
 }
 
 // Iteration policy for each workload: at least benchMinIters runs, then keep
@@ -126,8 +114,8 @@ const (
 	// workloads batch several ops per sample to reach it (see measurePaired).
 	benchPairSampleTime = 20 * time.Millisecond
 
-	// benchWorkers is the worker count behind the portfolio_ns_per_op and
-	// cube_ns_per_op columns, fixed (rather than GOMAXPROCS-derived) so the
+	// benchWorkers is the worker count behind the cube_ns_per_op column,
+	// fixed (rather than GOMAXPROCS-derived) so the
 	// trajectory is comparable across machines.
 	benchWorkers = 4
 )
@@ -392,27 +380,6 @@ func BenchSet(cfg Config) ([]BenchEntry, error) {
 		return res.Stats, nil
 	}
 
-	// runPortfolio answers one scenario through the diversified portfolio
-	// race instead of a single sequential instance.
-	runPortfolio := func(sc *core.Scenario, wantFeasible bool) (smt.Stats, error) {
-		cfg.applyBudget(sc)
-		m, err := core.NewModel(sc)
-		if err != nil {
-			return smt.Stats{}, err
-		}
-		res, err := m.CheckPortfolioContext(context.Background(), smt.PortfolioOptions{Workers: benchWorkers})
-		if err != nil {
-			return smt.Stats{}, err
-		}
-		if res.Inconclusive {
-			return smt.Stats{}, fmt.Errorf("inconclusive portfolio verification (%v)", res.Why)
-		}
-		if res.Feasible != wantFeasible {
-			return smt.Stats{}, fmt.Errorf("portfolio feasible = %v, want %v", res.Feasible, wantFeasible)
-		}
-		return res.Stats, nil
-	}
-
 	for _, name := range verificationCases(cfg.Large) {
 		sys, err := grid.Case(name)
 		if err != nil {
@@ -423,14 +390,6 @@ func BenchSet(cfg Config) ([]BenchEntry, error) {
 		}); err != nil {
 			return nil, err
 		}
-		pe, err := measureWorkload("fig4a/"+name+"/par", cfg.Out, func() (smt.Stats, error) {
-			return runPortfolio(verifyScenario(sys, 1+sys.Buses/2), true)
-		})
-		if err != nil {
-			return nil, err
-		}
-		entries[len(entries)-1].PortfolioNsPerOp = pe.NsPerOp
-		entries[len(entries)-1].Workers = benchWorkers
 	}
 
 	// Genuinely-unsat verification rows: any-state attackers under resource
@@ -577,7 +536,7 @@ func BenchSet(cfg Config) ([]BenchEntry, error) {
 		for _, id := range w.ids {
 			items = append(items, service.SweepItem{SecuredMeasurements: []int{id}})
 		}
-		svcCfg := service.Config{Portfolio: 1}
+		svcCfg := service.Config{}
 		var (
 			seqVerdicts []string
 			seqBuilds   uint64
@@ -632,7 +591,7 @@ func BenchSet(cfg Config) ([]BenchEntry, error) {
 		// screen may only change the cost of an answer, never the answer.
 		var screenedItems int
 		runScreenSweep := func() (smt.Stats, error) {
-			svc, err := service.New(service.Config{Portfolio: 1, Screen: true})
+			svc, err := service.New(service.Config{Screen: true})
 			if err != nil {
 				return smt.Stats{}, err
 			}
@@ -699,7 +658,7 @@ func BenchSet(cfg Config) ([]BenchEntry, error) {
 			}
 		}
 		// Idle-server ground truth, computed once outside the timed loop.
-		baseSvc, err := service.New(service.Config{Portfolio: 1})
+		baseSvc, err := service.New(service.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -723,7 +682,7 @@ func BenchSet(cfg Config) ([]BenchEntry, error) {
 
 		var smallNs []int64
 		runMixed := func() (smt.Stats, error) {
-			svc, err := service.New(service.Config{SchedWorkers: 2, Portfolio: 1})
+			svc, err := service.New(service.Config{MaxConcurrent: 2})
 			if err != nil {
 				return smt.Stats{}, err
 			}
@@ -783,30 +742,6 @@ func BenchSet(cfg Config) ([]BenchEntry, error) {
 		sort.Slice(smallNs, func(i, j int) bool { return smallNs[i] < smallNs[j] })
 		e.MixedP95Ms = float64(smallNs[len(smallNs)*95/100]) / 1e6
 
-		// The shared-portfolio column: the same verification raced at
-		// benchWorkers width, forks running as work units on the shared
-		// scheduler workers instead of a per-request goroutine fleet.
-		psvc, err := service.New(service.Config{SchedWorkers: benchWorkers, Portfolio: benchWorkers})
-		if err != nil {
-			return nil, err
-		}
-		pe, perr := measureWorkload("mixed/ieee14/portfolio", cfg.Out, func() (smt.Stats, error) {
-			resp, err := psvc.Verify(context.Background(), &service.VerifyRequest{Attack: base})
-			if err != nil {
-				return smt.Stats{}, err
-			}
-			if resp.Status != smallTruth.Status {
-				return smt.Stats{}, fmt.Errorf("mixed/ieee14/portfolio: says %s, sequential baseline says %s",
-					resp.Status, smallTruth.Status)
-			}
-			return smt.Stats{}, nil
-		})
-		psvc.Close()
-		if perr != nil {
-			return nil, perr
-		}
-		e.SharedPortfolioNsPerOp = pe.NsPerOp
-		e.Workers = benchWorkers
 		entries = append(entries, e)
 	}
 

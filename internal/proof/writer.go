@@ -2,6 +2,7 @@ package proof
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -299,6 +300,20 @@ func (w *Writer) Flush() error {
 		w.err = w.w.Flush()
 	}
 	return w.err
+}
+
+// Abort poisons the writer: later records are dropped and Close reports the
+// given error instead of publishing. For CreateAtomic writers nothing ever
+// appears at the publication path — the staging file is removed — which is
+// how losing cube workers retract certificates they were cancelled in the
+// middle of writing.
+func (w *Writer) Abort(err error) {
+	if w.err == nil {
+		if err == nil {
+			err = errors.New("proof: stream aborted")
+		}
+		w.err = err
+	}
 }
 
 // Close flushes the stream and closes the backing file, if any. It returns

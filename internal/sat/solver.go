@@ -48,10 +48,6 @@ type Stats struct {
 	Propagations int64
 	Restarts     int64
 	TheoryChecks int64
-	// Clause-exchange counters (zero unless Options.Exchange is set).
-	Exported       int64 // learnt clauses published to the exchange
-	Imported       int64 // foreign clauses that passed the RUP check and were added
-	ImportRejected int64 // foreign clauses dropped (stale, satisfied or not RUP here)
 }
 
 // Options configure a Solver.
@@ -76,15 +72,6 @@ type Options struct {
 	// lemma and deletion for DRAT-style certificate logging. The nil default
 	// costs one pointer check per logging site.
 	Proof ProofLogger
-	// Tuning diversifies the search for portfolio solving. The zero value
-	// reproduces the default (sequential) behavior exactly.
-	Tuning Tuning
-	// Exchange, if non-nil, connects this solver to a clause exchange: short
-	// learnt clauses are published, and foreign clauses are drained at Solve
-	// entry and at every restart. Imported clauses are re-checked locally by
-	// reverse unit propagation before being added, so a certificate stream
-	// stays checkable even though the clauses were derived elsewhere.
-	Exchange *ExchangePort
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; construct with
@@ -140,11 +127,6 @@ type Solver struct {
 	clauseMem  []clause  // arena for problem-clause headers
 	litMem     []Lit     // arena for problem-clause literal storage
 	watchMem   []watcher // arena seeding initial watch-list blocks
-
-	rng          xorshift64 // seeded per-solver generator (PhaseRandom)
-	exportMaxLen int        // resolved Tuning.ExportMaxLen
-	importBuf    [][]Lit    // scratch for draining the exchange
-	importLits   []Lit      // scratch for the simplified imported clause
 }
 
 const (
@@ -162,14 +144,6 @@ func NewSolver(opts Options) *Solver {
 		varInc:    1,
 		clauseInc: 1,
 	}
-	s.rng.s = opts.Tuning.Seed
-	if s.rng.s == 0 {
-		s.rng.s = 0x9e3779b97f4a7c15 // xorshift needs a nonzero state
-	}
-	s.exportMaxLen = opts.Tuning.ExportMaxLen
-	if s.exportMaxLen <= 0 {
-		s.exportMaxLen = 8
-	}
 	s.order = newVarHeap(&s.activity)
 	return s
 }
@@ -184,14 +158,7 @@ func (s *Solver) NewVar() Var {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	// polarity=true means the default decision phase is false (lit ¬v).
-	phase := true
-	switch s.opts.Tuning.Phase {
-	case PhaseTrue:
-		phase = false
-	case PhaseRandom:
-		phase = s.rng.next()&1 == 0
-	}
-	s.polarity = append(s.polarity, phase)
+	s.polarity = append(s.polarity, true)
 	s.theory = append(s.theory, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
@@ -636,11 +603,6 @@ func (s *Solver) recordLearnt(learnt []Lit) {
 	if s.opts.Proof != nil {
 		proofID = s.opts.Proof.LogLearnt(learnt)
 	}
-	if s.opts.Exchange != nil && len(learnt) <= s.exportMaxLen {
-		// Publish copies the literals, so handing it the scratch slice is safe.
-		s.opts.Exchange.Publish(learnt)
-		s.stats.Exported++
-	}
 	if len(learnt) == 1 {
 		if !s.enqueue(learnt[0], nil) {
 			s.unsat = true
@@ -656,95 +618,6 @@ func (s *Solver) recordLearnt(learnt []Lit) {
 	if !s.enqueue(learnt[0], c) {
 		panic("sat: internal error: asserting literal already false")
 	}
-}
-
-// importShared drains the clause exchange and adds every foreign clause that
-// passes a local reverse-unit-propagation check. It must be called at
-// decision level 0 with propagation at fixpoint (Solve entry and restarts).
-// It returns false when an import made the instance unsat at level 0.
-func (s *Solver) importShared() bool {
-	if s.opts.Exchange == nil {
-		return true
-	}
-	s.importBuf = s.opts.Exchange.Drain(s.importBuf[:0])
-	for _, lits := range s.importBuf {
-		s.tryImport(lits)
-		if s.unsat {
-			return false
-		}
-	}
-	return true
-}
-
-// tryImport re-derives a foreign clause by reverse unit propagation: assume
-// every literal false on a throwaway decision level and propagate. A conflict
-// certifies the clause follows from the local database, so it can be logged
-// as a Derived record and attached — the certificate checker will reproduce
-// exactly the same propagation. No conflict means the clause is not (yet) RUP
-// here and is dropped; soundness never depends on the publisher.
-//
-// The test level is Boolean-only: propagate does not feed the theory, and the
-// newDecisionLevel/cancelUntil pair keeps the theory's scope stack aligned,
-// so the theory never observes the throwaway assignments.
-func (s *Solver) tryImport(lits []Lit) {
-	if len(lits) == 0 {
-		s.stats.ImportRejected++
-		return
-	}
-	for _, l := range lits {
-		if l == LitUndef || int(l.Var()) >= s.nVars {
-			// Foreign variable numbering must match ours; a clause over
-			// unknown variables is meaningless here.
-			s.stats.ImportRejected++
-			return
-		}
-		if s.value(l) == lTrue {
-			// Satisfied at level 0: adds nothing.
-			s.stats.ImportRejected++
-			return
-		}
-	}
-	s.newDecisionLevel()
-	for _, l := range lits {
-		if s.value(l) == lUndef {
-			s.enqueue(l.Not(), nil)
-		}
-	}
-	confl := s.propagate()
-	s.cancelUntil(0)
-	if confl == nil {
-		s.stats.ImportRejected++
-		return
-	}
-	// RUP confirmed. Drop literals false at level 0 (the checker's
-	// propagation covers them through the logged units); at least one
-	// literal survives — the test level enqueued it, so it is unassigned
-	// at the root.
-	keep := s.importLits[:0]
-	for _, l := range lits {
-		if s.value(l) != lFalse {
-			keep = append(keep, l)
-		}
-	}
-	s.importLits = keep
-	var proofID uint64
-	if s.opts.Proof != nil {
-		proofID = s.opts.Proof.LogLearnt(keep)
-	}
-	s.stats.Imported++
-	if len(keep) == 1 {
-		if !s.enqueue(keep[0], nil) {
-			s.unsat = true
-		} else if confl := s.propagate(); confl != nil {
-			s.unsat = true
-		}
-		return
-	}
-	c := s.allocClause(keep)
-	c.id = proofID
-	c.learnt = true
-	s.learnts = append(s.learnts, c)
-	s.attach(c)
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the most
@@ -1020,25 +893,9 @@ func (s *Solver) SolveAssuming(assumps ...Lit) (Status, error) {
 		}
 	}
 
-	if !s.importShared() {
-		return StatusUnsat, nil
-	}
-
 	s.maxLearnts = float64(len(s.clauses))/3 + 1000
 	restartNum := int64(0)
-	restartUnit := s.opts.Tuning.RestartUnit
-	if restartUnit <= 0 {
-		restartUnit = lubyUnit
-	}
-	restartGrowth := s.opts.Tuning.RestartGrowth
-	if restartGrowth <= 1 {
-		restartGrowth = 1.5
-	}
-	geomLen := float64(restartUnit)
-	conflictsUntilRestart := luby(restartNum) * restartUnit
-	if s.opts.Tuning.Restart == RestartGeometric {
-		conflictsUntilRestart = int64(geomLen)
-	}
+	conflictsUntilRestart := luby(restartNum) * lubyUnit
 	s.budget = s.opts.MaxConflicts
 
 	for {
@@ -1086,18 +943,8 @@ func (s *Solver) SolveAssuming(assumps ...Lit) (Status, error) {
 		if conflictsUntilRestart <= 0 {
 			s.stats.Restarts++
 			restartNum++
-			if s.opts.Tuning.Restart == RestartGeometric {
-				geomLen *= restartGrowth
-				conflictsUntilRestart = int64(geomLen)
-			} else {
-				conflictsUntilRestart = luby(restartNum) * restartUnit
-			}
+			conflictsUntilRestart = luby(restartNum) * lubyUnit
 			s.cancelUntil(0)
-			// Restarts are the natural import point: level 0, propagation at
-			// fixpoint, and about to re-descend.
-			if !s.importShared() {
-				return StatusUnsat, nil
-			}
 			continue
 		}
 		if float64(len(s.learnts)) > s.maxLearnts {

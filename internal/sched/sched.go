@@ -3,13 +3,11 @@
 // (DRR) fairness across flows.
 //
 // The service decomposes each request into units on one Flow — a verify is a
-// single unit, a sweep one unit per encoder-compatibility group, a portfolio
-// race one unit per racing fork — and the scheduler interleaves units from
-// different flows instead of letting one large request monopolize the solver
-// workers. Costs express relative unit sizes (a sweep group unit costs its
-// item count); weights express a flow's service share per round (a portfolio
-// flow weighs its worker count, so its forks drain at fleet speed without a
-// private fleet).
+// single unit, a sweep one unit per encoder-compatibility group — and the
+// scheduler interleaves units from different flows instead of letting one
+// large request monopolize the solver workers. Costs express relative unit
+// sizes (a sweep group unit costs its item count); weights express a flow's
+// service share per round.
 //
 // DRR, concretely: active flows (those with queued units) are visited in a
 // round-robin ring. Each visit that cannot serve the flow's head unit earns
@@ -19,12 +17,7 @@
 // grows each unserved flow's credit, so a pick terminates in at most
 // max-unit-cost passes and no flow starves.
 //
-// Units run to completion on a worker; the scheduler never preempts. A
-// goroutine already running a unit may additionally drain its own flow's
-// queued units inline with TryRunQueued — how a portfolio orchestrator
-// guarantees its forks progress even when every worker is busy orchestrating
-// (the waiting worker does the work itself instead of idling, so fan-out
-// units can never deadlock the fixed worker set).
+// Units run to completion on a worker; the scheduler never preempts.
 package sched
 
 import (
@@ -43,9 +36,8 @@ var ErrAborted = errors.New("sched: flow aborted")
 // applied by New.
 type Config struct {
 	// Workers is the number of goroutines draining units (default 4). It is
-	// the scheduler-layer concurrency bound: at most Workers units execute on
-	// scheduler goroutines at once (inline helpers run on the worker slot
-	// they already occupy, so they do not add concurrency).
+	// the scheduler-layer concurrency bound: at most Workers units execute at
+	// once.
 	Workers int
 
 	// Quantum is the deficit credit a flow earns per round-robin visit,
@@ -58,10 +50,8 @@ type Config struct {
 type Stats struct {
 	// FlowsOpened counts NewFlow calls.
 	FlowsOpened uint64
-	// UnitsRun counts units run to completion, workers and inline combined.
+	// UnitsRun counts units run to completion.
 	UnitsRun uint64
-	// UnitsInline is the subset of UnitsRun executed via TryRunQueued.
-	UnitsInline uint64
 	// UnitsAborted counts queued units removed by Flow.Abort before running.
 	UnitsAborted uint64
 	// Queued and Running are gauges: units waiting in flow queues and units
@@ -170,8 +160,7 @@ func (s *Scheduler) Stats() Stats {
 
 // Submit enqueues one unit on the flow. Cost expresses the unit's relative
 // size for DRR accounting (values below 1 are clamped to 1); fn runs to
-// completion on a scheduler worker (or inline via TryRunQueued). Submit
-// never blocks on the workers.
+// completion on a scheduler worker. Submit never blocks on the workers.
 func (f *Flow) Submit(cost int, fn func()) error {
 	if fn == nil {
 		return errors.New("sched: nil unit")
@@ -241,36 +230,6 @@ func (f *Flow) Wait() {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
-}
-
-// TryRunQueued pops one of the flow's own queued units and runs it on the
-// calling goroutine, reporting whether a unit was run. It is the inline-help
-// escape hatch for code already executing inside a unit (a portfolio
-// orchestrator draining its fork units): the caller's worker slot does the
-// work, so a flow's fan-out always progresses even when every worker is
-// occupied by orchestrators. Returns false when the flow has nothing queued.
-func (f *Flow) TryRunQueued() bool {
-	s := f.s
-	s.mu.Lock()
-	if len(f.queue) == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	u := f.queue[0]
-	f.queue = f.queue[1:]
-	if len(f.queue) == 0 && f.inActive {
-		s.removeActiveLocked(f)
-	}
-	s.startLocked(f)
-	s.stats.UnitsInline++
-	s.mu.Unlock()
-
-	u.fn()
-
-	s.mu.Lock()
-	s.finishLocked(f)
-	s.mu.Unlock()
-	return true
 }
 
 // worker is one scheduler goroutine: pick a unit by DRR, run it, repeat.

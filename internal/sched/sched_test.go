@@ -178,37 +178,6 @@ func TestSchedAbortAfterStartLoses(t *testing.T) {
 	f.Wait()
 }
 
-func TestSchedTryRunQueuedInline(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	g := openGate(t, s)
-	defer close(g.release)
-
-	ran := atomic.Int32{}
-	f := s.NewFlow(1)
-	for i := 0; i < 3; i++ {
-		if err := f.Submit(1, func() { ran.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The worker is gated, yet the flow's own goroutine drains its queue.
-	for i := 0; i < 3; i++ {
-		if !f.TryRunQueued() {
-			t.Fatalf("TryRunQueued #%d = false with units queued", i)
-		}
-	}
-	if f.TryRunQueued() {
-		t.Fatal("TryRunQueued on empty queue = true")
-	}
-	f.Wait()
-	if n := ran.Load(); n != 3 {
-		t.Fatalf("inline units ran %d times, want 3", n)
-	}
-	if st := s.Stats(); st.UnitsInline != 3 {
-		t.Fatalf("UnitsInline = %d, want 3", st.UnitsInline)
-	}
-}
-
 func TestSchedCloseDrainsQueued(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ran := atomic.Int32{}
@@ -234,7 +203,7 @@ func TestSchedCloseDrainsQueued(t *testing.T) {
 }
 
 // TestSchedStressExactlyOnce hammers the scheduler from many goroutines
-// (submit, inline help, abort races) and checks every unit ran exactly once
+// (submit, wait, abort races) and checks every unit ran exactly once
 // and the ledger settles. Run under -race in CI.
 func TestSchedStressExactlyOnce(t *testing.T) {
 	s := New(Config{Workers: 4})
@@ -259,12 +228,7 @@ func TestSchedStressExactlyOnce(t *testing.T) {
 				submitted.Add(1)
 			}
 			switch fi % 3 {
-			case 0:
-				f.Wait()
-			case 1:
-				// Inline help then wait, as a portfolio orchestrator would.
-				for f.TryRunQueued() {
-				}
+			case 0, 1:
 				f.Wait()
 			case 2:
 				// Race an abort against the workers; either outcome must

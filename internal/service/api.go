@@ -45,12 +45,6 @@ type VerifyRequest struct {
 	// infeasible.
 	Proof bool `json:"proof,omitempty"`
 
-	// Portfolio overrides the server's portfolio worker count for this
-	// request: > 1 races that many diversified solver instances, 1 forces a
-	// sequential answer, < 0 picks the host default, 0 keeps the server
-	// configuration. Always clamped to the server's per-request maximum.
-	Portfolio int `json:"portfolio,omitempty"`
-
 	// Screen overrides the server's LP-relaxation screening default for
 	// this request: true runs the screen even on a server with screening
 	// off, false forces the full SMT pipeline (the ablation switch), nil
@@ -183,8 +177,11 @@ type SynthesizeRequest struct {
 	Proof bool `json:"proof,omitempty"`
 
 	// CubeWorkers overrides the server's cube-and-conquer worker count for
-	// this bus-granular synthesis request (same convention as
-	// VerifyRequest.Portfolio; ignored by measurement-granular synthesis).
+	// this bus-granular synthesis request: > 1 fans the search across that
+	// many workers, 1 forces the sequential loop, < 0 picks the host
+	// default, 0 keeps the server configuration. Always clamped to the
+	// server's per-request maximum; ignored by measurement-granular
+	// synthesis.
 	CubeWorkers int `json:"cubeWorkers,omitempty"`
 }
 

@@ -28,7 +28,6 @@ type metrics struct {
 	sweepItems     atomic.Uint64 // per-item verdicts those sweeps produced
 	encodersClosed atomic.Uint64 // encoders torn down via the pool drop hook
 
-	portfolioChecks  atomic.Uint64 // verifications answered by a portfolio race
 	cubeRuns         atomic.Uint64 // synthesis runs in cube-and-conquer mode
 	sequentialSolves atomic.Uint64 // solves answered by one sequential instance
 	inFlightWorkers  atomic.Int64  // solver workers currently running, all modes
@@ -64,7 +63,6 @@ type Metrics struct {
 	ProofErrors  uint64 `json:"proofErrors"`
 	Queued       int    `json:"queued"`
 
-	PortfolioChecks  uint64 `json:"portfolioChecks"`
 	CubeRuns         uint64 `json:"cubeRuns"`
 	SequentialSolves uint64 `json:"sequentialSolves"`
 	InFlightWorkers  int64  `json:"inFlightWorkers"`
@@ -88,9 +86,10 @@ type Metrics struct {
 	ScreenCacheHits   uint64 `json:"screenCacheHits"`
 	ScreenCacheMisses uint64 `json:"screenCacheMisses"`
 
-	// Sched reports the work-unit scheduler: units run by workers vs. inline
-	// by helping flows, units discarded by admission aborts, and the current
-	// queue depth and occupancy.
+	// Sched reports the work-unit scheduler: units run, units discarded by
+	// admission aborts, and the current queue depth and occupancy.
+	// UnitsInline always reads 0: every unit runs on a scheduler worker.
+	// It stays on the wire because segridbench reads it.
 	Sched struct {
 		FlowsOpened  uint64 `json:"flowsOpened"`
 		UnitsRun     uint64 `json:"unitsRun"`
@@ -140,7 +139,6 @@ func (m *metrics) snapshot(ps pool.Stats, queued int, ss sched.Stats, rs pool.Re
 		ProofErrors:  m.proofErrors.Load(),
 		Queued:       queued,
 
-		PortfolioChecks:  m.portfolioChecks.Load(),
 		CubeRuns:         m.cubeRuns.Load(),
 		SequentialSolves: m.sequentialSolves.Load(),
 		InFlightWorkers:  m.inFlightWorkers.Load(),
@@ -159,7 +157,6 @@ func (m *metrics) snapshot(ps pool.Stats, queued int, ss sched.Stats, rs pool.Re
 	}
 	out.Sched.FlowsOpened = ss.FlowsOpened
 	out.Sched.UnitsRun = ss.UnitsRun
-	out.Sched.UnitsInline = ss.UnitsInline
 	out.Sched.UnitsAborted = ss.UnitsAborted
 	out.Sched.Queued = ss.Queued
 	out.Sched.Running = ss.Running

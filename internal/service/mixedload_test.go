@@ -87,8 +87,7 @@ func TestMixedLoadVerifyNotStarvedBehindSweep(t *testing.T) {
 	baseline := mixedBaseline(t, &sweepReq)
 
 	svc, err := New(Config{
-		MaxConcurrent: 4,
-		SchedWorkers:  2,
+		MaxConcurrent: 2,
 		MaxQueue:      64,
 		QueueWait:     5 * time.Second,
 		MaxSweepItems: 512,
@@ -219,8 +218,7 @@ func TestMixedLoadFaultInjection(t *testing.T) {
 	baseline := mixedBaseline(t, &sweepReq)
 
 	svc, err := New(Config{
-		MaxConcurrent:  4,
-		SchedWorkers:   2,
+		MaxConcurrent:  2,
 		MaxQueue:       64,
 		QueueWait:      5 * time.Second,
 		DefaultTimeout: 5 * time.Second,
@@ -282,46 +280,5 @@ func TestMixedLoadFaultInjection(t *testing.T) {
 	ps := svc.PoolStats()
 	if got, want := ps.Returns+ps.Discards, ps.Hits+ps.Misses; got != want {
 		t.Fatalf("lease ledger under faults: %d settlements for %d checkouts (%+v)", got, want, ps)
-	}
-}
-
-// TestSchedPortfolioSharedWorkers checks a portfolio verify on the shared
-// scheduler: forks run as work units on the common worker set (plus the
-// orchestrating unit helping inline), and the verdict equals the sequential
-// answer. This is the tentpole's "no private fleets" property: the only
-// goroutines solving are the scheduler's.
-func TestSchedPortfolioSharedWorkers(t *testing.T) {
-	seqSvc, err := New(Config{Portfolio: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := seqSvc.Verify(context.Background(), &VerifyRequest{Attack: obj2Spec(), SecuredMeasurements: []int{46}})
-	seqSvc.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	svc, err := New(Config{SchedWorkers: 2, Portfolio: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	got, err := svc.Verify(context.Background(), &VerifyRequest{Attack: obj2Spec(), SecuredMeasurements: []int{46}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != want.Status {
-		t.Fatalf("portfolio on shared workers says %s, sequential says %s", got.Status, want.Status)
-	}
-
-	st := svc.SchedStats()
-	// One orchestration unit plus three fork units were executed somewhere:
-	// by the two workers or inline by the helping orchestration unit.
-	if st.UnitsRun+st.UnitsInline < 4 {
-		t.Fatalf("scheduler executed %d worker + %d inline units, want >= 4 (%+v)", st.UnitsRun, st.UnitsInline, st)
-	}
-	m := svc.m.snapshot(svc.PoolStats(), 0, st, svc.supports.Stats())
-	if m.PortfolioChecks == 0 {
-		t.Fatal("portfolio race never ran")
 	}
 }

@@ -10,12 +10,10 @@
 //     that ends Unknown, panics, or trips a scope mismatch quarantines it —
 //     a poisoned encoder is never reused.
 //   - Every request decomposes into work units on the shared scheduler
-//     (package sched): a verify is one unit, a sweep one unit per
-//     encoder-compatibility group, a portfolio race one fork unit per
-//     worker. A fixed worker set drains units with deficit-round-robin
-//     fairness across requests, so a large sweep interleaves with small
-//     verifies instead of blocking them, and portfolio forks from many
-//     requests share one pool of workers instead of private fleets.
+//     (package sched): a verify or a synthesis is one unit, a sweep one unit
+//     per encoder-compatibility group. A fixed worker set drains units with
+//     deficit-round-robin fairness across requests, so a large sweep
+//     interleaves with small verifies instead of blocking them.
 //   - Admission control bounds the waiting queue and how long a request
 //     may wait for its first unit to start. Excess load is shed with
 //     429/503 plus Retry-After — an overloaded server refuses work, it
@@ -59,16 +57,12 @@ import (
 // Config parameterizes a Service. The zero value is usable: defaults are
 // applied by New.
 type Config struct {
-	// MaxConcurrent bounds simultaneously running solves (default 4). The
-	// solver is CPU-bound; admitting more checks than cores buys latency,
-	// not throughput. It is the default for SchedWorkers.
+	// MaxConcurrent is the scheduler's worker count (default 4): the fixed
+	// set of goroutines draining work units from every request with
+	// deficit-round-robin fairness, and so the bound on units solving at
+	// once. The solver is CPU-bound; more workers than cores buys latency,
+	// not throughput.
 	MaxConcurrent int
-	// SchedWorkers is the scheduler's worker count — the fixed set of
-	// goroutines draining work units from every request with
-	// deficit-round-robin fairness (default MaxConcurrent). Per-request
-	// portfolio/cubeWorkers knobs are fairness weights on this shared set,
-	// not private fleets.
-	SchedWorkers int
 	// MaxQueue bounds requests waiting for their first work unit to start
 	// (default 16). A request arriving past it is shed immediately with 429.
 	MaxQueue int
@@ -94,23 +88,21 @@ type Config struct {
 	PoolMaxIdle       int
 	PoolMaxIdleBytes  int64
 	// MaxSweepItems bounds the item count of one /v1/sweep request
-	// (default 256): a sweep holds its solve slot for the whole batch, so
+	// (default 256). Each encoder-compatibility group is its own scheduler
+	// unit, so a large sweep interleaves with other requests; the cap
+	// still bounds how much work and memory one request can queue, so
 	// batch size is an operator decision, not a client one.
 	MaxSweepItems int
 	// Faults, when non-nil, installs the deterministic fault-injection
 	// schedule: every check draws a Decision applied through the solver's
 	// interruption points and the certificate sink. Test harness only.
 	Faults *faultinject.Schedule
-	// Portfolio is the default portfolio worker count for verification
-	// requests: 0 or 1 answers sequentially, > 1 races that many diversified
-	// solver instances, < 0 picks the GOMAXPROCS-aware default. Requests
-	// override it with their "portfolio" field.
-	Portfolio int
 	// CubeWorkers is the default cube-and-conquer worker count for
-	// bus-granular synthesis requests (same convention as Portfolio;
-	// requests override it with "cubeWorkers").
+	// bus-granular synthesis requests: 0 or 1 runs the sequential loop,
+	// > 1 fans the search across that many workers, < 0 picks the
+	// GOMAXPROCS-aware default. Requests override it with "cubeWorkers".
 	CubeWorkers int
-	// MaxWorkersPerRequest clamps any per-request worker count (default 8):
+	// MaxWorkersPerRequest clamps a request's cube worker count (default 8):
 	// a client cannot fan one request wider than the operator allows.
 	MaxWorkersPerRequest int
 	// Screen enables the LP-relaxation screening tier (internal/screen):
@@ -130,9 +122,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4
-	}
-	if c.SchedWorkers <= 0 {
-		c.SchedWorkers = c.MaxConcurrent
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 16
@@ -155,16 +144,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// effectiveWorkers resolves a per-request worker override against the
-// configured default and the per-request clamp: asked == 0 takes the server
-// default, negative counts select smt.DefaultWorkers().
-func (s *Service) effectiveWorkers(asked, def int) int {
-	n := def
+// cubeWorkers resolves a request's cube worker count against the configured
+// default and the per-request clamp: asked == 0 takes the server default,
+// negative counts select synth.DefaultWorkers().
+func (s *Service) cubeWorkers(asked int) int {
+	n := s.cfg.CubeWorkers
 	if asked != 0 {
 		n = asked
 	}
 	if n < 0 {
-		n = smt.DefaultWorkers()
+		n = synth.DefaultWorkers()
 	}
 	if n > s.cfg.MaxWorkersPerRequest {
 		n = s.cfg.MaxWorkersPerRequest
@@ -198,7 +187,7 @@ func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		sched:    sched.New(sched.Config{Workers: cfg.SchedWorkers}),
+		sched:    sched.New(sched.Config{Workers: cfg.MaxConcurrent}),
 		screens:  newScreenCache(cfg.ScreenCacheSize),
 		supports: pool.NewRegistry[*synth.SupportPool](0),
 		start:    time.Now(),
@@ -531,16 +520,17 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // synthesize runs one synthesis request. Synthesis manages its own solver
 // lifecycle (a persistent selection model plus per-run verification
 // models), so it does not use the warm pool; it runs as a single scheduler
-// unit costed and weighted by its worker count (a cube fleet's workers run
-// on the unit's goroutine plus its own fan-out — a documented
-// oversubscription of the scheduler bound, priced into the unit's cost).
+// unit costed and weighted by its worker count. A cube run solves on that
+// many goroutines of its own while the unit's scheduler worker waits for
+// them — an oversubscription of the scheduler bound, priced into the
+// unit's cost.
 // admit follows the flow-admission contract described on Service.verify.
 func (s *Service) synthesize(ctx context.Context, req *SynthesizeRequest, admit func(*sched.Flow) *handlerError) (*SynthesizeResponse, *handlerError) {
 	if admit == nil {
 		admit = func(*sched.Flow) *handlerError { return nil }
 	}
 	spec := req.Synthesis
-	workers := s.effectiveWorkers(req.CubeWorkers, s.cfg.CubeWorkers)
+	workers := s.cubeWorkers(req.CubeWorkers)
 	if spec.MeasurementGranular() {
 		// The measurement-granular loop has no cube mode; it always runs
 		// sequentially.

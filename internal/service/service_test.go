@@ -339,14 +339,19 @@ func TestSynthesizeEndpoint(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	_, srv := newTestServer(t, Config{ProofDir: t.TempDir()})
 
-	resp, err := srv.Client().Post(srv.URL+"/v1/verify", "application/json",
-		strings.NewReader(`{"attack": {"case": "ieee14"}, "bogus": 1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field accepted: %d", resp.StatusCode)
+	for _, body := range []string{
+		`{"attack": {"case": "ieee14"}, "bogus": 1}`,
+		// The portfolio option is gone; strict decoding must refuse it.
+		`{"attack": {"case": "ieee14", "anyState": true}, "securedBuses": [1, 3, 6, 8, 9], "portfolio": 3}`,
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/verify", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown field accepted: %d for %s", resp.StatusCode, body)
+		}
 	}
 
 	for _, path := range []string{"../outside.proof", "/etc/passwd", ""} {

@@ -288,7 +288,7 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, resp *SweepRespon
 			}
 		}
 		warm := lease.Warm()
-		res, herr, poisoned := s.checkWarm(ctx, nil, lease.Item.model, &it.ov, 1)
+		res, herr, poisoned := s.checkWarm(ctx, lease.Item.model, &it.ov)
 		if poisoned {
 			// The lease is settled right here; a healthy lease stays out
 			// for the group's remaining items.
@@ -323,7 +323,7 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, resp *SweepRespon
 // sequentially inside their group unit (workers=1), so no flow is passed.
 func (s *Service) sweepFresh(ctx context.Context, g *sweepGroup, it *plannedItem, retries int, start time.Time, builds *atomic.Int64) *VerifyResponse {
 	builds.Add(1)
-	r, herr := s.verifyFresh(ctx, nil, g.spec, &it.ov, 1, false, retries)
+	r, herr := s.verifyFresh(ctx, g.spec, &it.ov, false, retries)
 	if herr != nil {
 		return itemFailure(herr.msg, start)
 	}

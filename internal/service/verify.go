@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"segrid/internal/core"
@@ -49,7 +48,6 @@ func (s *Service) verify(ctx context.Context, req *VerifyRequest, admit func(*sc
 		securedBuses:        req.SecuredBuses,
 		securedMeasurements: req.SecuredMeasurements,
 	}
-	workers := s.effectiveWorkers(req.Portfolio, s.cfg.Portfolio)
 	if s.screenEnabled(req.Screen) && !req.Proof && !req.FreshEncode {
 		// The screening tier answers ahead of the whole encoder machinery:
 		// no pool key, no lease, no SMT work, no scheduled unit. Proof
@@ -60,12 +58,12 @@ func (s *Service) verify(ctx context.Context, req *VerifyRequest, admit func(*sc
 			return r, nil
 		}
 	}
-	fl := s.sched.NewFlow(workers)
+	fl := s.sched.NewFlow(1)
 	var (
 		resp *VerifyResponse
 		herr *handlerError
 	)
-	if err := fl.Submit(1, func() { resp, herr = s.verifySolve(ctx, fl, req, ov, workers) }); err != nil {
+	if err := fl.Submit(1, func() { resp, herr = s.verifySolve(ctx, req, ov) }); err != nil {
 		_ = admit(nil)
 		return nil, &handlerError{http.StatusServiceUnavailable, "scheduler shutting down"}
 	}
@@ -77,13 +75,12 @@ func (s *Service) verify(ctx context.Context, req *VerifyRequest, admit func(*sc
 }
 
 // verifySolve is the body of a verification work unit: the warm-pool path
-// with the warm→fresh retry ladder. fl is the unit's own flow, used to
-// schedule portfolio fork units.
-func (s *Service) verifySolve(ctx context.Context, fl *sched.Flow, req *VerifyRequest, ov *overlay, workers int) (*VerifyResponse, *handlerError) {
+// with the warm→fresh retry ladder.
+func (s *Service) verifySolve(ctx context.Context, req *VerifyRequest, ov *overlay) (*VerifyResponse, *handlerError) {
 	if req.Proof || req.FreshEncode {
 		// Certificate streams capture a solver lifetime; differential
 		// requests want no shared state. Both bypass the pool.
-		return s.verifyFresh(ctx, fl, &req.Attack, ov, workers, req.Proof, 0)
+		return s.verifyFresh(ctx, &req.Attack, ov, req.Proof, 0)
 	}
 	key, herr := s.keyFor(&req.Attack)
 	if herr != nil {
@@ -92,7 +89,7 @@ func (s *Service) verifySolve(ctx context.Context, fl *sched.Flow, req *VerifyRe
 	if key == (pool.Key{}) {
 		// A key-hash collision between distinct specs: never share an
 		// encoder across models. Fall back to a fresh encoding.
-		return s.verifyFresh(ctx, fl, &req.Attack, ov, workers, false, 0)
+		return s.verifyFresh(ctx, &req.Attack, ov, false, 0)
 	}
 	lease, err := s.pool.Checkout(ctx, key)
 	if errors.Is(err, pool.ErrExhausted) {
@@ -107,7 +104,7 @@ func (s *Service) verifySolve(ctx context.Context, fl *sched.Flow, req *VerifyRe
 		}
 		return nil, &handlerError{http.StatusBadRequest, err.Error()}
 	}
-	res, herr, poisoned := s.checkWarm(ctx, fl, lease.Item.model, ov, workers)
+	res, herr, poisoned := s.checkWarm(ctx, lease.Item.model, ov)
 	if poisoned {
 		s.m.poisoned.Add(1)
 		_ = lease.Discard()
@@ -129,34 +126,7 @@ func (s *Service) verifySolve(ctx context.Context, fl *sched.Flow, req *VerifyRe
 		return s.buildResponse(res, lease.Warm(), 0), nil
 	}
 	s.m.retries.Add(1)
-	return s.verifyFresh(ctx, fl, &req.Attack, ov, workers, false, 1)
-}
-
-// flowSpawn adapts a request's flow into smt.PortfolioOptions.Spawn: each
-// racing fork becomes a cost-1 unit on the flow, so forks from concurrent
-// portfolio requests share the scheduler's workers under the same fairness
-// policy instead of spawning private goroutine fleets. The orchestrating
-// unit's goroutine helps drain its own queue inline before blocking — the
-// guarantee that fork units always progress even when every scheduler
-// worker is busy orchestrating (the classic nested-fork-join deadlock
-// cannot form: waiting orchestrators do the forks' work themselves). A
-// Submit refused by a closing scheduler falls back to running the fork
-// inline, preserving the exactly-once contract.
-func flowSpawn(fl *sched.Flow) func(tasks []func()) {
-	return func(tasks []func()) {
-		var wg sync.WaitGroup
-		for _, task := range tasks {
-			task := task
-			wg.Add(1)
-			wrapped := func() { defer wg.Done(); task() }
-			if err := fl.Submit(1, wrapped); err != nil {
-				wrapped()
-			}
-		}
-		for fl.TryRunQueued() {
-		}
-		wg.Wait()
-	}
+	return s.verifyFresh(ctx, &req.Attack, ov, false, 1)
 }
 
 // keyFor fingerprints spec into its pool key and registers the spec for the
@@ -180,14 +150,11 @@ func (s *Service) keyFor(spec *scenariofile.AttackSpec) (pool.Key, *handlerError
 // asserted inside a Push/Pop scope; the boolean result reports whether the
 // encoder must be quarantined (Unknown result, panic, failed Pop — any
 // ending after which its internal state cannot be trusted).
-func (s *Service) checkWarm(ctx context.Context, fl *sched.Flow, m *core.Model, ov *overlay, workers int) (res *core.Result, herr *handlerError, poisoned bool) {
+func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov *overlay) (res *core.Result, herr *handlerError, poisoned bool) {
 	sv := m.Solver()
 	sv.SetBudget(s.cfg.Budget)
-	var dec faultinject.Decision
-	haveDec := s.cfg.Faults != nil
-	if haveDec {
-		dec = s.cfg.Faults.Next()
-		sv.SetInterrupter(faultinject.NewInjector(dec))
+	if s.cfg.Faults != nil {
+		sv.SetInterrupter(faultinject.NewInjector(s.cfg.Faults.Next()))
 		defer sv.SetInterrupter(nil)
 	}
 	defer func() {
@@ -205,7 +172,7 @@ func (s *Service) checkWarm(ctx context.Context, fl *sched.Flow, m *core.Model, 
 		}
 		return nil, &handlerError{http.StatusBadRequest, err.Error()}, false
 	}
-	res, err := s.checkModel(ctx, fl, m, workers, dec, haveDec)
+	res, err := s.checkModel(ctx, m)
 	if err != nil {
 		return nil, &handlerError{http.StatusInternalServerError, err.Error()}, true
 	}
@@ -221,36 +188,19 @@ func (s *Service) checkWarm(ctx context.Context, fl *sched.Flow, m *core.Model, 
 	return res, nil, false
 }
 
-// checkModel answers one verification check in the resolved solve mode: a
-// sequential check, or a portfolio race when the worker count is above one.
-// With a flow, the race's forks run as that flow's scheduler units — the
-// shared cross-query portfolio pool — rather than a private goroutine
-// fleet; clause exchange stays per-query either way. The per-mode counters
-// and the in-flight-workers gauge cover the exact solver lifetime.
-func (s *Service) checkModel(ctx context.Context, fl *sched.Flow, m *core.Model, workers int, dec faultinject.Decision, haveDec bool) (*core.Result, error) {
-	if workers <= 1 {
-		s.m.sequentialSolves.Add(1)
-		defer s.m.trackWorkers(1)()
-		return m.CheckContext(ctx)
-	}
-	s.m.portfolioChecks.Add(1)
-	defer s.m.trackWorkers(workers)()
-	po := smt.PortfolioOptions{Workers: workers}
-	if fl != nil {
-		po.Spawn = flowSpawn(fl)
-	}
-	if haveDec {
-		// Interrupter state is per solver instance; every racing worker gets
-		// its own injector replaying the same drawn decision.
-		po.Interrupters = func(int) smt.Interrupter { return faultinject.NewInjector(dec) }
-	}
-	return m.CheckPortfolioContext(ctx, po)
+// checkModel answers one verification check with a sequential solve. The
+// solve counter and the in-flight-workers gauge cover the exact solver
+// lifetime.
+func (s *Service) checkModel(ctx context.Context, m *core.Model) (*core.Result, error) {
+	s.m.sequentialSolves.Add(1)
+	defer s.m.trackWorkers(1)()
+	return m.CheckContext(ctx)
 }
 
 // verifyFresh is the ladder's trustworthy rung: a throwaway FreshPerCheck
 // encoder for spec with ov asserted, optionally streaming an UNSAT
 // certificate to a per-request atomic file.
-func (s *Service) verifyFresh(ctx context.Context, fl *sched.Flow, spec *scenariofile.AttackSpec, ov *overlay, workers int, wantProof bool, retries int) (*VerifyResponse, *handlerError) {
+func (s *Service) verifyFresh(ctx context.Context, spec *scenariofile.AttackSpec, ov *overlay, wantProof bool, retries int) (*VerifyResponse, *handlerError) {
 	sc, err := spec.Scenario()
 	if err != nil {
 		return nil, &handlerError{http.StatusBadRequest, err.Error()}
@@ -300,7 +250,7 @@ func (s *Service) verifyFresh(ctx context.Context, fl *sched.Flow, spec *scenari
 		if err := applyOverlay(m, ov); err != nil {
 			return nil, &handlerError{http.StatusBadRequest, err.Error()}
 		}
-		res, err := s.checkModel(ctx, fl, m, workers, dec, s.cfg.Faults != nil)
+		res, err := s.checkModel(ctx, m)
 		if err != nil {
 			return nil, &handlerError{http.StatusInternalServerError, err.Error()}
 		}

@@ -152,8 +152,6 @@ func newEncoder(owner *Solver) *encoder {
 			Theory:          theory,
 			CheckAtFixpoint: owner.opts.TheoryCheckAtFixpoint,
 			Proof:           plog,
-			Tuning:          owner.tuning,
-			Exchange:        owner.exPort,
 		}),
 		simplex:    simplex,
 		theory:     theory,
@@ -466,8 +464,6 @@ func (e *encoder) statsSnapshot() Stats {
 		Pivots:       lst.Pivots - e.baseLra.Pivots,
 		FastOps:      lst.FastOps - e.baseLra.FastOps,
 		BigOps:       lst.BigOps - e.baseLra.BigOps,
-		Exported:     sst.Exported - e.baseSat.Exported,
-		Imported:     sst.Imported - e.baseSat.Imported,
 	}
 }
 

@@ -109,13 +109,9 @@ type Stats struct {
 	AllocBytes uint64
 	Duration   time.Duration
 	// Workers is the effective parallel worker count that produced this
-	// result: 0 for plain sequential checks, ≥ 1 when the answer came from
-	// CheckPortfolio (1 means a portfolio degenerated to a single instance).
+	// result: 0 for plain sequential checks, ≥ 1 when a cube-and-conquer
+	// synthesis set it (see synth.Requirements.CubeWorkers).
 	Workers int
-	// Exported/Imported count learnt clauses shared through the portfolio
-	// exchange (this instance's side of the traffic).
-	Exported int64
-	Imported int64
 	// Unknown classifies an Unknown result (budget kind, cancellation,
 	// deadline, injected interruption); ReasonNone on Sat/Unsat. It is the
 	// machine-readable twin of Result.Why, letting retry policies decide
@@ -165,13 +161,6 @@ type Solver struct {
 	scopes    []*scope
 	enc       *encoder
 	lastStats Stats
-
-	// tuning and exPort diversify the underlying SAT core and connect it to
-	// a portfolio clause exchange. They are set only on the per-worker forks
-	// CheckPortfolio builds; a directly constructed Solver keeps the zero
-	// values (sequential behavior, no sharing).
-	tuning sat.Tuning
-	exPort *sat.ExchangePort
 }
 
 // NewSolver constructs a solver.

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,22 @@ import (
 // candidate securing none of S), so deeper harvesting trades cheap incremental
 // re-checks for fewer Algorithm 1 iterations everywhere.
 const harvestDepth = 8
+
+// DefaultWorkers returns the default cube worker count: GOMAXPROCS at call
+// time, clamped to [1, maxDefaultWorkers] so that on a large host the
+// default does not fan one synthesis across every core.
+func DefaultWorkers() int {
+	n := runtime.GOMAXPROCS(0)
+	if n < 1 {
+		n = 1
+	}
+	if n > maxDefaultWorkers {
+		n = maxDefaultWorkers
+	}
+	return n
+}
+
+const maxDefaultWorkers = 8
 
 // cubeLit fixes one pivot bus's selection bit for a cube.
 type cubeLit struct {

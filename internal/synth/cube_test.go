@@ -139,6 +139,13 @@ func TestCubeAutoWorkers(t *testing.T) {
 	}
 }
 
+// TestDefaultWorkers pins the GOMAXPROCS-aware clamp.
+func TestDefaultWorkers(t *testing.T) {
+	if n := DefaultWorkers(); n < 1 || n > maxDefaultWorkers {
+		t.Fatalf("DefaultWorkers() = %d, want within [1, %d]", n, maxDefaultWorkers)
+	}
+}
+
 // TestCubePlanPartition: the planned cubes are an exact partition — every
 // pivot assignment appears exactly once — and pivots avoid operator-fixed
 // and (under Eq. 30 pruning) mutually adjacent buses.

@@ -104,7 +104,7 @@ type Requirements struct {
 	// are fanned across that many workers, each running the selection/verify
 	// loop on its own incremental solver instances with counterexample
 	// supports shared through a common pool. 0 keeps the sequential loop;
-	// < 0 selects smt.DefaultWorkers(). The verdict is unchanged — cubes
+	// < 0 selects DefaultWorkers(). The verdict is unchanged — cubes
 	// partition the space exactly, and shared blocking clauses are valid in
 	// every cube — but which verified architecture is returned is
 	// first-past-the-post among the workers.
@@ -380,7 +380,7 @@ func SynthesizeContext(ctx context.Context, req *Requirements) (res *Architectur
 	if req.CubeWorkers != 0 {
 		workers := req.CubeWorkers
 		if workers < 0 {
-			workers = smt.DefaultWorkers()
+			workers = DefaultWorkers()
 		}
 		return synthesizeCubes(ctx, req, workers)
 	}
