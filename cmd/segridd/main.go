@@ -26,7 +26,8 @@
 //	-proof-dir dir    enable UNSAT certificates: verify/synthesize requests
 //	                  may ask for per-request certificate files under dir,
 //	                  and POST /v1/proofcheck re-checks them independently
-//	-pool-live n      warm-encoder pool size cap (default 64)
+//	-pool-live n      warm-encoder pool size cap (default 64); a cold build
+//	                  at the cap evicts the least-recently-used idle encoder
 //	-pool-idle n      warm encoders kept per (topology, shape) key (default 2)
 //	-pool-idle-total n   idle warm encoders kept across all keys; past it the
 //	                  globally least-recently-used encoder is evicted and torn

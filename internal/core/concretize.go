@@ -13,7 +13,7 @@ import (
 // integration tests assert before replaying the attack against the real
 // WLS estimator.
 func ExactMeasurementDeltas(sc *Scenario, res *Result) ([]*big.Rat, error) {
-	if err := sc.validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	if !res.Feasible {

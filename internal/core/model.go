@@ -65,7 +65,7 @@ func NewModelContext(ctx context.Context, sc *Scenario) (*Model, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := sc.validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	opts := smt.DefaultOptions()

@@ -140,8 +140,10 @@ func (sc *Scenario) canInclude(id int) bool {
 	return sc.AllowInclusion && !sc.inService(id) && !sc.statusSecured(id)
 }
 
-// validate checks scenario consistency.
-func (sc *Scenario) validate() error {
+// Validate checks scenario consistency. NewModel and the screening entry
+// points run it before encoding; planners run it to reject a malformed
+// scenario before scheduling any work.
+func (sc *Scenario) Validate() error {
 	if sc.Meas == nil {
 		return fmt.Errorf("core: scenario has no measurement configuration")
 	}

@@ -52,7 +52,7 @@ func screenProblem(sc *Scenario) *screen.Problem {
 // the caller must fall through to the full model. Errors are reserved for
 // malformed scenarios.
 func ScreenScenario(ctx context.Context, sc *Scenario, opts screen.Options) (*screen.Result, error) {
-	if err := sc.validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	return screen.Check(ctx, screenProblem(sc), opts)

@@ -23,9 +23,12 @@
 // Drain — invokes the optional Config.Close hook exactly once, outside the
 // pool lock, so owners can release encoder resources deterministically.
 //
-// The pool bounds total live encoders (checked-out plus idle); exhaustion
-// fails fast with ErrExhausted so admission control above the pool decides
-// between queueing and shedding. All methods are safe for concurrent use.
+// The pool bounds total live encoders (checked-out plus idle). A cold build
+// at the bound evicts the global LRU idle item to make room, so idle
+// encoders never lock a new key out; only when every live item is leased
+// does Checkout fail fast with ErrExhausted, leaving the caller to decide
+// between a throwaway build and shedding. All methods are safe for
+// concurrent use.
 package pool
 
 import (
@@ -47,7 +50,8 @@ type Key struct {
 }
 
 // ErrExhausted is returned by Checkout when the live-encoder bound is
-// reached. The caller sheds or queues; the pool never blocks.
+// reached and every live item is leased (an idle item would have been
+// evicted instead). The caller decides what to do; the pool never blocks.
 var ErrExhausted = errors.New("pool: live-encoder limit reached")
 
 // Config parameterizes a Pool.
@@ -90,8 +94,8 @@ type Config[T any] struct {
 	// the byte budget.
 	MaxIdleBytes int64
 
-	// MaxLive bounds live items — checked out plus idle — across all keys.
-	// Default 64.
+	// MaxLive bounds live items — checked out plus idle — across all keys;
+	// a cold build at the bound evicts the global LRU idle item. Default 64.
 	MaxLive int
 }
 
@@ -113,7 +117,8 @@ type Stats struct {
 	// Discards).
 	ResetFailures uint64
 	// Evictions counts idle items dropped by the LRU policy (per-key,
-	// global-count or byte budget); EvictedBytes sums their sampled sizes.
+	// global-count or byte budget, or a cold build at the live bound);
+	// EvictedBytes sums their sampled sizes.
 	Evictions    uint64
 	EvictedBytes uint64
 	// Live and Idle are current gauges: items outstanding or warm.
@@ -194,8 +199,10 @@ func (l *Lease[T]) Key() Key { return l.key }
 func (l *Lease[T]) Warm() bool { return l.warm }
 
 // Checkout leases an item for key: the most recently returned warm one when
-// available, otherwise a cold build. It fails fast with ErrExhausted at the
-// live bound and propagates Config.New errors (releasing the reserved slot).
+// available, otherwise a cold build — at the live bound evicting the global
+// LRU idle item first (its Close hook runs). It fails fast with ErrExhausted
+// only when every live item is leased, and propagates Config.New errors
+// (releasing the reserved slot).
 func (p *Pool[T]) Checkout(ctx context.Context, key Key) (*Lease[T], error) {
 	return p.checkout(ctx, key, true)
 }
@@ -226,13 +233,20 @@ func (p *Pool[T]) checkout(ctx context.Context, key Key, allowWarm bool) (*Lease
 			return &Lease[T]{Item: e.item, key: key, warm: true, pool: p}, nil
 		}
 	}
+	var victim *idleEntry[T]
 	if p.live >= p.cfg.MaxLive {
-		p.mu.Unlock()
-		return nil, ErrExhausted
+		if p.lru == nil {
+			p.mu.Unlock()
+			return nil, ErrExhausted
+		}
+		victim = p.removeLocked(p.lru)
 	}
 	p.live++ // reserve the slot before the slow build
 	p.stats.Misses++
 	p.mu.Unlock()
+	if victim != nil {
+		p.close(victim.item)
+	}
 
 	item, err := p.cfg.New(ctx, key)
 	if err != nil {

@@ -188,6 +188,58 @@ func TestPoolExhaustionFailsFast(t *testing.T) {
 	}
 }
 
+// TestPoolEvictsIdleAtLiveCap checks a cold build at the live bound evicts
+// the global LRU idle item instead of refusing: idle encoders of other keys
+// must never lock a new key out. ErrExhausted is left for the case where
+// every live item is leased.
+func TestPoolEvictsIdleAtLiveCap(t *testing.T) {
+	closeHook, closes, violations := countingClose(t)
+	p, _ := newTestPool(t, Config[*testItem]{
+		MaxLive: 2,
+		Close:   closeHook,
+		Size:    func(*testItem) int64 { return 100 },
+	})
+	ctx := context.Background()
+	keyB := Key{Topology: "ieee30", Shape: "anystate"}
+	keyC := Key{Topology: "ieee57", Shape: "anystate"}
+	la, err := p.Checkout(ctx, keyA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := p.Checkout(ctx, keyB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	itemA := la.Item
+	_ = la.Return() // A is now the global LRU idle item
+	_ = lb.Return()
+
+	lc, err := p.Checkout(ctx, keyC)
+	if err != nil {
+		t.Fatalf("checkout at the cap with idle items = %v, want an eviction", err)
+	}
+	if itemA.closed.Load() != 1 || closes.Load() != 1 {
+		t.Fatalf("victim closed %d times (%d closes total), want the LRU item A closed once", itemA.closed.Load(), closes.Load())
+	}
+	st := p.Stats()
+	if st.Evictions != 1 || st.EvictedBytes != 100 || st.Live != 2 || st.Idle != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction of 100 bytes, 2 live, 1 idle", st)
+	}
+	// B is still warm; taking it leaves every live item leased.
+	lb, err = p.Checkout(ctx, keyB)
+	if err != nil || !lb.Warm() {
+		t.Fatalf("checkout B = %v (warm %v), want the surviving idle item", err, lb != nil && lb.Warm())
+	}
+	if _, err := p.Checkout(ctx, keyA); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("checkout with every live item leased = %v, want ErrExhausted", err)
+	}
+	_ = lb.Return()
+	_ = lc.Return()
+	if violations.Load() != 0 {
+		t.Fatalf("%d close violations", violations.Load())
+	}
+}
+
 // TestPoolBuildErrorReleasesSlot checks a failing Config.New does not leak
 // its reserved live slot.
 func TestPoolBuildErrorReleasesSlot(t *testing.T) {

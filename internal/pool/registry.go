@@ -1,31 +1,37 @@
 package pool
 
-import "sync"
+import (
+	"container/list"
+	"sync"
+)
 
-// Registry is the pool's shared-value sibling: a bounded cache of values
+// Registry is the pool's shared-value sibling: a bounded LRU cache of values
 // that are *not* leased exclusively. Where Pool hands out one encoder to one
 // goroutine at a time, a Registry entry is handed to every caller with the
-// same Key simultaneously — the cube synthesis support pool is the canonical
-// tenant: harvested counterexample-support clauses are monotone facts about
+// same key simultaneously. Two tenants use it: the cube synthesis support
+// pools (harvested counterexample-support clauses are monotone facts about
 // an attack model, so concurrent synthesis runs on the same key can all
-// publish into and seed from one shared value. Values must therefore be
-// internally synchronized; the Registry only guards its own map.
+// publish into and seed from one shared value) and the service's
+// screen-verdict cache. Values must therefore be immutable or internally
+// synchronized; the Registry only guards its own bookkeeping.
 //
 // Entries are bounded by MaxEntries with least-recently-used eviction (a
-// GetOrCreate touch counts as use). There is no poisoning path: registry
-// values are pure accumulations of independently verified facts, so a failed
-// run never invalidates them — contrast with Pool.Discard for encoders.
-type Registry[T any] struct {
+// Get, Put or GetOrCreate touch counts as use), in O(1) per operation. There
+// is no poisoning path: registry values are pure accumulations of
+// independently verified facts, so a failed run never invalidates them —
+// contrast with Pool.Discard for encoders. A nil *Registry is an always-empty
+// cache: Get misses and Put drops.
+type Registry[K comparable, V any] struct {
 	mu      sync.Mutex
 	max     int
-	tick    uint64
-	entries map[Key]*regEntry[T]
+	entries map[K]*list.Element
+	lru     *list.List // front = most recently used
 	stats   RegistryStats
 }
 
-type regEntry[T any] struct {
-	value T
-	used  uint64
+type regEntry[K comparable, V any] struct {
+	key   K
+	value V
 }
 
 // RegistryStats counts registry traffic.
@@ -38,46 +44,76 @@ type RegistryStats struct {
 
 // NewRegistry builds a registry bounded to maxEntries values (values ≤ 0
 // select the default of 64).
-func NewRegistry[T any](maxEntries int) *Registry[T] {
+func NewRegistry[K comparable, V any](maxEntries int) *Registry[K, V] {
 	if maxEntries <= 0 {
 		maxEntries = 64
 	}
-	return &Registry[T]{max: maxEntries, entries: make(map[Key]*regEntry[T])}
+	return &Registry[K, V]{max: maxEntries, entries: make(map[K]*list.Element), lru: list.New()}
+}
+
+// Get returns the value registered under key and whether there was one.
+func (r *Registry[K, V]) Get(key K) (V, bool) {
+	var zero V
+	if r == nil {
+		return zero, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	el, ok := r.entries[key]
+	if !ok {
+		r.stats.Misses++
+		return zero, false
+	}
+	r.stats.Hits++
+	r.lru.MoveToFront(el)
+	return el.Value.(*regEntry[K, V]).value, true
+}
+
+// Put registers value under key, replacing any previous value.
+func (r *Registry[K, V]) Put(key K, value V) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.putLocked(key, value)
 }
 
 // GetOrCreate returns the value registered under key, building it with
 // create on first use. The build runs under the registry lock — keep create
-// cheap (allocate an empty accumulator, not a populated one). Evicts the
-// least recently used entry when the bound is exceeded.
-func (r *Registry[T]) GetOrCreate(key Key, create func() T) T {
+// cheap (allocate an empty accumulator, not a populated one).
+func (r *Registry[K, V]) GetOrCreate(key K, create func() V) V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tick++
-	if e, ok := r.entries[key]; ok {
-		e.used = r.tick
+	if el, ok := r.entries[key]; ok {
 		r.stats.Hits++
-		return e.value
+		r.lru.MoveToFront(el)
+		return el.Value.(*regEntry[K, V]).value
 	}
 	r.stats.Misses++
-	e := &regEntry[T]{value: create(), used: r.tick}
-	r.entries[key] = e
-	for len(r.entries) > r.max {
-		var victim Key
-		var oldest uint64
-		first := true
-		for k, cand := range r.entries {
-			if first || cand.used < oldest {
-				victim, oldest, first = k, cand.used, false
-			}
-		}
-		delete(r.entries, victim)
+	v := create()
+	r.putLocked(key, v)
+	return v
+}
+
+// putLocked stores key → value as the most recently used entry and evicts
+// from the least recently used end past the bound.
+func (r *Registry[K, V]) putLocked(key K, value V) {
+	if el, ok := r.entries[key]; ok {
+		el.Value.(*regEntry[K, V]).value = value
+		r.lru.MoveToFront(el)
+		return
+	}
+	r.entries[key] = r.lru.PushFront(&regEntry[K, V]{key: key, value: value})
+	for r.lru.Len() > r.max {
+		oldest := r.lru.Remove(r.lru.Back()).(*regEntry[K, V])
+		delete(r.entries, oldest.key)
 		r.stats.Evictions++
 	}
-	return e.value
 }
 
 // Stats snapshots registry counters.
-func (r *Registry[T]) Stats() RegistryStats {
+func (r *Registry[K, V]) Stats() RegistryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.stats

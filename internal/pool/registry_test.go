@@ -7,7 +7,7 @@ import (
 )
 
 func TestRegistrySharesValueAcrossCallers(t *testing.T) {
-	r := NewRegistry[*[]int](8)
+	r := NewRegistry[Key, *[]int](8)
 	k := Key{Topology: "t", Shape: "s"}
 	builds := 0
 	get := func() *[]int {
@@ -27,7 +27,7 @@ func TestRegistrySharesValueAcrossCallers(t *testing.T) {
 }
 
 func TestRegistryEvictsLRU(t *testing.T) {
-	r := NewRegistry[int](2)
+	r := NewRegistry[Key, int](2)
 	mk := func(i int) Key { return Key{Topology: fmt.Sprint(i)} }
 	r.GetOrCreate(mk(1), func() int { return 1 })
 	r.GetOrCreate(mk(2), func() int { return 2 })
@@ -45,8 +45,47 @@ func TestRegistryEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestRegistryEvictionOrder checks Get and Put refresh recency exactly like
+// GetOrCreate, that a Put on a present key replaces its value without
+// growing the cache, and that eviction walks strictly from the least
+// recently used end, one entry per overflow.
+func TestRegistryEvictionOrder(t *testing.T) {
+	r := NewRegistry[string, int](3)
+	r.Put("a", 1)
+	r.Put("b", 2)
+	r.Put("c", 3)
+	r.Get("a")                       // order, most recent first: a c b
+	r.Put("b", 20)                   // replace + touch: b a c
+	if v, _ := r.Get("b"); v != 20 { // b is already the newest: order unchanged
+		t.Fatalf("replacing put kept %d, want 20", v)
+	}
+	if st := r.Stats(); st.Entries != 3 || st.Evictions != 0 {
+		t.Fatalf("replacing put grew or evicted: %+v", st)
+	}
+	// Each Put past the bound evicts exactly the least recently used entry.
+	// Probing only the expected victim keeps the probe from touching a
+	// survivor (a miss refreshes nothing).
+	for _, step := range []struct{ put, victim string }{{"d", "c"}, {"e", "a"}, {"f", "b"}} {
+		r.Put(step.put, 0)
+		if _, ok := r.Get(step.victim); ok {
+			t.Fatalf("after put %s: %s survived, want it evicted as the LRU entry", step.put, step.victim)
+		}
+	}
+	if v, ok := r.Get("f"); !ok || v != 0 {
+		t.Fatalf("newest entry missing: %d %v", v, ok)
+	}
+	if st := r.Stats(); st.Entries != 3 || st.Evictions != 3 {
+		t.Fatalf("stats = %+v, want 3 entries after 3 evictions", st)
+	}
+	var nilReg *Registry[string, int]
+	nilReg.Put("a", 1)
+	if _, ok := nilReg.Get("a"); ok {
+		t.Fatal("nil registry cached a value")
+	}
+}
+
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry[*sync.Map](4)
+	r := NewRegistry[Key, *sync.Map](4)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -56,11 +95,17 @@ func TestRegistryConcurrent(t *testing.T) {
 				k := Key{Topology: fmt.Sprint(i % 3)}
 				m := r.GetOrCreate(k, func() *sync.Map { return new(sync.Map) })
 				m.Store(g*1000+i, true)
+				// Get and Put share the same bookkeeping (the screen cache's
+				// access pattern); a fourth key keeps eviction busy.
+				if got, ok := r.Get(k); ok {
+					got.Store(g*1000+i, true)
+				}
+				r.Put(Key{Topology: "x"}, m)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := r.Stats(); st.Entries != 3 {
-		t.Fatalf("entries = %d, want 3", st.Entries)
+	if st := r.Stats(); st.Entries != 4 {
+		t.Fatalf("entries = %d, want 4", st.Entries)
 	}
 }

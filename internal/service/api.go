@@ -101,8 +101,9 @@ type VerifyResponse struct {
 // encoder, so an N-item family that a batch-unaware client would answer
 // with N encoder builds costs one build per distinct group.
 //
-// A sweep occupies one solve slot (admission control sees one request) and
-// its items solve sequentially on their group's encoder.
+// Admission control sees a sweep as one request; each group is one
+// scheduler work unit whose items solve sequentially on the group's
+// encoder. A /v1/verify is answered as the one-item case of the same path.
 type SweepRequest struct {
 	// Attack is the base scenario every item starts from.
 	Attack scenariofile.AttackSpec `json:"attack"`

@@ -1,111 +1,53 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sync"
 
 	"segrid/internal/core"
+	"segrid/internal/pool"
 	"segrid/internal/scenariofile"
 )
 
-// screenCache memoizes LP-screening outcomes across requests, keyed by the
-// full screened instance: topology and goal (the canonical attack spec) plus
-// the overlay's protections and tightened bounds. Screening is deterministic
-// — same instance, same pivot budget, same three-valued verdict — so a
-// cached verdict is exactly the verdict a fresh screen would certify, and an
-// inconclusive screen is cached too (as a nil result) so repeat instances
-// skip straight to the SMT tier instead of re-pivoting to the same cap.
+// The screen-verdict cache memoizes LP-screening outcomes across requests,
+// keyed by the full screened instance: topology and goal (the canonical
+// attack spec) plus the overlay's protections and tightened bounds.
+// Screening is deterministic — same instance, same pivot budget, same
+// three-valued verdict — so a cached verdict is exactly the verdict a fresh
+// screen would certify, and an inconclusive screen is cached too (as a nil
+// result) so repeat instances skip straight to the SMT tier instead of
+// re-pivoting to the same cap.
 //
 // Only clean outcomes are cached: a screen that errored or ran under an
 // already-expired context tells us nothing about the instance.
-type screenCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-}
 
-// screenCacheEntry is one memoized instance. res is the screen-derived
-// core.Result for definitive verdicts and nil for a deterministic
-// inconclusive screen; the hit bool in lookups distinguishes "cached
-// inconclusive" from "never screened".
-type screenCacheEntry struct {
-	key string
-	res *core.Result
-}
-
-// newScreenCache builds a cache bounded to capacity entries; 0 selects the
-// default of 1024, negative disables caching (every lookup misses, stores
-// are dropped).
-func newScreenCache(capacity int) *screenCache {
+// newScreenCache builds the cache bounded to capacity entries; 0 selects
+// the default of 1024, negative disables caching (a nil registry misses
+// every lookup and drops every store).
+func newScreenCache(capacity int) *pool.Registry[string, *core.Result] {
+	if capacity < 0 {
+		return nil
+	}
 	if capacity == 0 {
 		capacity = 1024
 	}
-	if capacity < 0 {
-		return &screenCache{}
-	}
-	return &screenCache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+	return pool.NewRegistry[string, *core.Result](capacity)
 }
 
 // screenCacheKey canonicalizes one screened instance. The spec is
 // re-marshaled exactly like poolKey does; the overlay rides along so that
-// what-if variants over one spec cache independently. An empty key (marshal
-// failure) disables caching for the instance.
+// what-if variants over one spec cache independently.
 func screenCacheKey(spec *scenariofile.AttackSpec, ov *overlay) string {
-	canon, err := json.Marshal(struct {
+	// The marshal cannot fail: planning already marshaled spec through
+	// poolKey, and the overlay is plain ints.
+	canon, _ := json.Marshal(struct {
 		Spec *scenariofile.AttackSpec `json:"spec"`
 		SB   []int                    `json:"sb,omitempty"`
 		SM   []int                    `json:"sm,omitempty"`
 		MA   int                      `json:"ma,omitempty"`
 		MB   int                      `json:"mb,omitempty"`
 	}{spec, ov.securedBuses, ov.securedMeasurements, ov.maxAltered, ov.maxBuses})
-	if err != nil {
-		return ""
-	}
 	sum := sha256.Sum256(canon)
 	return hex.EncodeToString(sum[:])
-}
-
-// get returns the cached result for key and whether the instance was cached
-// at all (res may be nil on a hit: a remembered inconclusive screen).
-func (c *screenCache) get(key string) (*core.Result, bool) {
-	if c.entries == nil || key == "" {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*screenCacheEntry).res, true
-}
-
-// put memoizes one clean screen outcome, evicting the least recently used
-// entry past capacity.
-func (c *screenCache) put(key string, res *core.Result) {
-	if c.entries == nil || key == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*screenCacheEntry).res = res
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&screenCacheEntry{key: key, res: res})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*screenCacheEntry).key)
-	}
 }

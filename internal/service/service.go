@@ -10,10 +10,10 @@
 //     that ends Unknown, panics, or trips a scope mismatch quarantines it —
 //     a poisoned encoder is never reused.
 //   - Every request decomposes into work units on the shared scheduler
-//     (package sched): a verify or a synthesis is one unit, a sweep one unit
-//     per encoder-compatibility group. A fixed worker set drains units with
-//     deficit-round-robin fairness across requests, so a large sweep
-//     interleaves with small verifies instead of blocking them.
+//     (package sched): a sweep is one unit per encoder-compatibility group,
+//     a verify a one-item sweep, a synthesis one unit. A fixed worker set
+//     drains units with deficit-round-robin fairness across requests, so a
+//     large sweep interleaves with small verifies instead of blocking them.
 //   - Admission control bounds the waiting queue and how long a request
 //     may wait for its first unit to start. Excess load is shed with
 //     429/503 plus Retry-After — an overloaded server refuses work, it
@@ -174,10 +174,10 @@ type Service struct {
 	cfg      Config
 	pool     *pool.Pool[*warmModel]
 	sched    *sched.Scheduler
-	screens  *screenCache
-	supports *pool.Registry[*synth.SupportPool] // cube supports keyed by attack model
-	wait     atomic.Int64                       // requests admitted but not yet started
-	specs    sync.Map                           // pool.Key → *scenariofile.AttackSpec
+	screens  *pool.Registry[string, *core.Result]         // screen verdicts keyed by instance (nil: disabled)
+	supports *pool.Registry[pool.Key, *synth.SupportPool] // cube supports keyed by attack model
+	wait     atomic.Int64                                 // requests admitted but not yet started
+	specs    sync.Map                                     // pool.Key → *scenariofile.AttackSpec
 	m        metrics
 	start    time.Time
 }
@@ -189,7 +189,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:      cfg,
 		sched:    sched.New(sched.Config{Workers: cfg.MaxConcurrent}),
 		screens:  newScreenCache(cfg.ScreenCacheSize),
-		supports: pool.NewRegistry[*synth.SupportPool](0),
+		supports: pool.NewRegistry[pool.Key, *synth.SupportPool](0),
 		start:    time.Now(),
 	}
 	p, err := pool.New(pool.Config[*warmModel]{
@@ -306,7 +306,7 @@ func (s *Service) Verify(ctx context.Context, req *VerifyRequest) (*VerifyRespon
 
 // Sweep answers one batched sweep in-process (see Verify).
 func (s *Service) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
-	resp, herr := s.sweep(ctx, req, nil)
+	resp, herr := s.sweep(ctx, req, false, false, nil)
 	if herr != nil {
 		return nil, fmt.Errorf("sweep: %s (http %d)", herr.msg, herr.status)
 	}
@@ -374,6 +374,44 @@ func (s *Service) httpAdmit(r *http.Request) func(fl *sched.Flow) *handlerError 
 	}
 }
 
+// unit is one scheduler work unit: its cost and its body.
+type unit struct {
+	cost int
+	fn   func()
+}
+
+// runFlow runs units as one scheduler flow of the given weight and waits
+// for them. admit, when non-nil, is called exactly once: with the flow
+// after every unit is submitted, or with nil when there is nothing to
+// schedule (the screening tier answered, planning failed) or the scheduler
+// refused a unit. A non-nil admit error means the flow was aborted before
+// starting (queue-wait shed, client gone); runFlow returns it without
+// waiting.
+func (s *Service) runFlow(weight int, units []unit, admit func(*sched.Flow) *handlerError) *handlerError {
+	if admit == nil {
+		admit = func(*sched.Flow) *handlerError { return nil }
+	}
+	if len(units) == 0 {
+		return admit(nil)
+	}
+	fl := s.sched.NewFlow(weight)
+	for _, u := range units {
+		if err := fl.Submit(u.cost, u.fn); err != nil {
+			// Scheduler closing mid-request: drain whatever was already
+			// submitted (units may be writing into the response), then shed
+			// rather than publish a torn answer.
+			fl.Wait()
+			_ = admit(nil)
+			return &handlerError{http.StatusServiceUnavailable, "scheduler shutting down"}
+		}
+	}
+	if aerr := admit(fl); aerr != nil {
+		return aerr
+	}
+	fl.Wait()
+	return nil
+}
+
 // requestContext applies the clamped per-request deadline.
 func (s *Service) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
@@ -390,13 +428,11 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	var req VerifyRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad verify request: %v", err))
+		s.writeFailure(w, &handlerError{http.StatusBadRequest, fmt.Sprintf("bad verify request: %v", err)})
 		return
 	}
 	if req.Proof && s.cfg.ProofDir == "" {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "proof requested but the server has no proof directory")
+		s.writeFailure(w, errNoProofDir)
 		return
 	}
 	if !s.admit(w) {
@@ -408,16 +444,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, herr := s.verify(ctx, &req, s.httpAdmit(r))
 	if herr != nil {
-		switch herr.status {
-		case http.StatusServiceUnavailable:
-			s.m.shed503.Add(1)
-			writeShed(w, herr.status, herr.msg, s.shedDelay())
-		case http.StatusBadRequest:
-			s.m.badRequests.Add(1)
-			writeError(w, herr.status, herr.msg)
-		default:
-			writeError(w, herr.status, herr.msg)
-		}
+		s.writeFailure(w, herr)
 		return
 	}
 	resp.ElapsedMs = time.Since(start).Milliseconds()
@@ -445,8 +472,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	var req SweepRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad sweep request: %v", err))
+		s.writeFailure(w, &handlerError{http.StatusBadRequest, fmt.Sprintf("bad sweep request: %v", err)})
 		return
 	}
 	if !s.admit(w) {
@@ -456,18 +482,9 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	resp, herr := s.sweep(ctx, &req, s.httpAdmit(r))
+	resp, herr := s.sweep(ctx, &req, false, false, s.httpAdmit(r))
 	if herr != nil {
-		switch herr.status {
-		case http.StatusServiceUnavailable:
-			s.m.shed503.Add(1)
-			writeShed(w, herr.status, herr.msg, s.shedDelay())
-		case http.StatusBadRequest:
-			s.m.badRequests.Add(1)
-			writeError(w, herr.status, herr.msg)
-		default:
-			writeError(w, herr.status, herr.msg)
-		}
+		s.writeFailure(w, herr)
 		return
 	}
 	resp.ElapsedMs = time.Since(start).Milliseconds()
@@ -483,13 +500,11 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	var req SynthesizeRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad synthesize request: %v", err))
+		s.writeFailure(w, &handlerError{http.StatusBadRequest, fmt.Sprintf("bad synthesize request: %v", err)})
 		return
 	}
 	if req.Proof && s.cfg.ProofDir == "" {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "proof requested but the server has no proof directory")
+		s.writeFailure(w, errNoProofDir)
 		return
 	}
 	if !s.admit(w) {
@@ -501,16 +516,7 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, herr := s.synthesize(ctx, &req, s.httpAdmit(r))
 	if herr != nil {
-		switch herr.status {
-		case http.StatusServiceUnavailable:
-			s.m.shed503.Add(1)
-			writeShed(w, herr.status, herr.msg, s.shedDelay())
-		case 499:
-			writeError(w, herr.status, herr.msg)
-		default:
-			s.m.badRequests.Add(1)
-			writeError(w, herr.status, herr.msg)
-		}
+		s.writeFailure(w, herr)
 		return
 	}
 	resp.ElapsedMs = time.Since(start).Milliseconds()
@@ -523,32 +529,21 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // unit costed and weighted by its worker count. A cube run solves on that
 // many goroutines of its own while the unit's scheduler worker waits for
 // them — an oversubscription of the scheduler bound, priced into the
-// unit's cost.
-// admit follows the flow-admission contract described on Service.verify.
+// unit's cost. admit follows the contract described on runFlow.
 func (s *Service) synthesize(ctx context.Context, req *SynthesizeRequest, admit func(*sched.Flow) *handlerError) (*SynthesizeResponse, *handlerError) {
-	if admit == nil {
-		admit = func(*sched.Flow) *handlerError { return nil }
-	}
-	spec := req.Synthesis
 	workers := s.cubeWorkers(req.CubeWorkers)
-	if spec.MeasurementGranular() {
+	if req.Synthesis.MeasurementGranular() {
 		// The measurement-granular loop has no cube mode; it always runs
 		// sequentially.
 		workers = 1
 	}
-	fl := s.sched.NewFlow(workers)
 	var (
 		resp *SynthesizeResponse
 		herr *handlerError
 	)
-	if err := fl.Submit(workers, func() { resp, herr = s.synthesizeUnit(ctx, req, workers) }); err != nil {
-		_ = admit(nil)
-		return nil, &handlerError{http.StatusServiceUnavailable, "scheduler shutting down"}
+	if ferr := s.runFlow(workers, []unit{{workers, func() { resp, herr = s.synthesizeUnit(ctx, req, workers) }}}, admit); ferr != nil {
+		return nil, ferr
 	}
-	if aerr := admit(fl); aerr != nil {
-		return nil, aerr
-	}
-	fl.Wait()
 	return resp, herr
 }
 
@@ -638,8 +633,7 @@ func (s *Service) handleProofCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ProofCheckRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
-		s.m.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad proofcheck request: %v", err))
+		s.writeFailure(w, &handlerError{http.StatusBadRequest, fmt.Sprintf("bad proofcheck request: %v", err)})
 		return
 	}
 	// Resolve strictly inside the proof directory: certificate names only,
@@ -682,6 +676,23 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 type handlerError struct {
 	status int
 	msg    string
+}
+
+var errNoProofDir = &handlerError{http.StatusBadRequest, "proof requested but the server has no proof directory"}
+
+// writeFailure answers a request that ended without a response body. A 400
+// counts as a bad request and a 503 as a shed (with Retry-After); anything
+// else (a 499 for a client gone while queued, a 500) is written as is.
+func (s *Service) writeFailure(w http.ResponseWriter, herr *handlerError) {
+	switch herr.status {
+	case http.StatusBadRequest:
+		s.m.badRequests.Add(1)
+	case http.StatusServiceUnavailable:
+		s.m.shed503.Add(1)
+		writeShed(w, herr.status, herr.msg, s.shedDelay())
+		return
+	}
+	writeError(w, herr.status, herr.msg)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -185,6 +185,31 @@ func TestVerifyRetryLadderRecovers(t *testing.T) {
 	}
 }
 
+// TestVerifyEvictsIdleEncoderAtPoolCap fills a two-encoder pool with the
+// idle encoders of two cases and checks a third case still gets a pooled
+// encoder: its cold build evicts the least recently used idle one instead
+// of being refused, so a repeat is served warm and a sweep over the new
+// case builds nothing.
+func TestVerifyEvictsIdleEncoderAtPoolCap(t *testing.T) {
+	svc, srv := newTestServer(t, Config{PoolMaxLive: 2})
+	spec := func(c string) scenariofile.AttackSpec { return scenariofile.AttackSpec{Case: c, AnyState: true} }
+	verifyOn(t, srv, VerifyRequest{Attack: spec("ieee14")})
+	verifyOn(t, srv, VerifyRequest{Attack: spec("ieee30")})
+	if r := verifyOn(t, srv, VerifyRequest{Attack: spec("ieee57")}); r.Status != "feasible" || r.Warm {
+		t.Fatalf("ieee57 at the pool cap = %+v, want a cold feasible answer", r)
+	}
+	if ps := svc.PoolStats(); ps.Evictions != 1 || ps.Live != 2 || ps.Idle != 2 {
+		t.Fatalf("pool = %+v, want one eviction and two idle encoders", ps)
+	}
+	if r := verifyOn(t, srv, VerifyRequest{Attack: spec("ieee57")}); !r.Warm {
+		t.Fatalf("repeat ieee57 verify = %+v, want it served warm", r)
+	}
+	out := sweepOn(t, srv, SweepRequest{Attack: spec("ieee57"), Items: []SweepItem{{}, {SecuredBuses: []int{1}}}})
+	if out.EncoderBuilds != 0 {
+		t.Fatalf("ieee57 sweep built %d encoders, want 0 (the pooled one)", out.EncoderBuilds)
+	}
+}
+
 // TestAdmissionControlSheds saturates a 1-slot server with stalled solves
 // and checks overload is refused (429/503 with Retry-After) rather than
 // mis-answered.

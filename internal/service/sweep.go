@@ -14,12 +14,13 @@ import (
 	"segrid/internal/smt"
 )
 
-// This file implements the batched scenario sweep: one request, a base
-// attack spec, N per-item deltas. Items are planned into groups sharing a
+// This file implements the service's one check path, the batched scenario
+// sweep: one request, a base attack spec, N per-item deltas. A /v1/verify
+// is the one-item case. Items are planned into groups sharing a
 // warm-encoder compatibility key; each group checks out ONE pooled encoder
-// and answers its items back-to-back through the same scoped-overlay
-// machinery /v1/verify uses — the serving-side analogue of the incremental
-// encoder amortizing encode cost inside a process.
+// and answers its items back-to-back under scoped overlays — the
+// serving-side analogue of the incremental encoder amortizing encode cost
+// inside a process.
 //
 // Soundness rules, enforced by planning:
 //
@@ -36,10 +37,12 @@ import (
 
 // sweepGroup is one encoder-compatibility class of planned items.
 type sweepGroup struct {
-	key   pool.Key
-	spec  *scenariofile.AttackSpec // effective spec the group's encoder is built from
-	fresh bool                     // key-hash collision: run items on throwaway encoders
-	items []plannedItem
+	key  pool.Key
+	spec *scenariofile.AttackSpec // effective spec the group's encoder is built from
+	// fresh runs every item on a throwaway encoder: a key-hash collision,
+	// or a proof/freshEncode verify. proof streams each item's certificate.
+	fresh, proof bool
+	items        []plannedItem
 }
 
 // plannedItem is one sweep item resolved against its group: the original
@@ -50,10 +53,11 @@ type plannedItem struct {
 }
 
 // planSweep validates the request and partitions its items into groups,
-// preserving first-occurrence order. All validation happens here, before
-// any solving: a malformed item fails the whole sweep with 400 instead of
-// surfacing mid-batch.
-func (s *Service) planSweep(req *SweepRequest) ([]*sweepGroup, *handlerError) {
+// preserving first-occurrence order; fresh and proof mark every group (see
+// sweepGroup). All validation happens here, before any solving: a
+// malformed item fails the whole sweep with 400 instead of surfacing
+// mid-batch.
+func (s *Service) planSweep(req *SweepRequest, fresh, proof bool) ([]*sweepGroup, *handlerError) {
 	if len(req.Items) == 0 {
 		return nil, &handlerError{http.StatusBadRequest, "sweep has no items"}
 	}
@@ -74,27 +78,30 @@ func (s *Service) planSweep(req *SweepRequest) ([]*sweepGroup, *handlerError) {
 		if err != nil {
 			return nil, sysErr(i, err)
 		}
-		key, herr := s.keyFor(eff)
-		if herr != nil {
-			return nil, &handlerError{herr.status, fmt.Sprintf("sweep item %d: %s", i, herr.msg)}
+		key, err := s.keyFor(eff)
+		if err != nil {
+			return nil, sysErr(i, err)
 		}
-		fresh := key == (pool.Key{})
+		collided := key == (pool.Key{})
 		g, ok := byKey[key]
-		if !ok || fresh {
+		if !ok || collided {
 			// Collision groups are never merged: each collided item runs on
 			// its own throwaway encoder.
-			g = &sweepGroup{key: key, spec: eff, fresh: fresh}
-			if !fresh {
+			g = &sweepGroup{key: key, spec: eff, fresh: fresh || collided, proof: proof}
+			if !collided {
 				byKey[key] = g
 			}
 			order = append(order, g)
 		}
 		g.items = append(g.items, plannedItem{index: i, ov: ov})
 	}
-	// Validate every group's effective spec and overlay ranges up front, so
-	// group execution cannot hit a caller error mid-batch.
+	// Validate every group's effective scenario and overlay ranges up
+	// front, so group execution cannot hit a caller error mid-batch.
 	for _, g := range order {
 		sc, err := g.spec.Scenario()
+		if err == nil {
+			err = sc.Validate()
+		}
 		if err != nil {
 			return nil, sysErr(g.items[0].index, err)
 		}
@@ -163,32 +170,33 @@ func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.Att
 	return eff, ov, nil
 }
 
-// sweep plans and executes one sweep request: planning and the screening
-// tier run on the request goroutine (the screen-verdict cache is consulted
-// before anything is scheduled), then each group with unscreened items
-// becomes one scheduler work unit costed by its item count. Group units
-// from one sweep run concurrently when workers are free and interleave with
-// other requests' units under the fairness policy — a sweep no longer
-// monopolizes one opaque solve slot for its whole batch. admit follows the
-// flow-admission contract described on Service.verify.
-func (s *Service) sweep(ctx context.Context, req *SweepRequest, admit func(*sched.Flow) *handlerError) (*SweepResponse, *handlerError) {
-	if admit == nil {
-		admit = func(*sched.Flow) *handlerError { return nil }
-	}
-	groups, herr := s.planSweep(req)
+// sweep plans and executes one sweep request (fresh and proof as in
+// planSweep): planning and the screening tier run on the request goroutine
+// (the screen-verdict cache is consulted before anything is scheduled),
+// then each group with unscreened items becomes one scheduler work unit
+// costed by its item count. Group units from one sweep run concurrently
+// when workers are free and interleave with other requests' units under
+// the fairness policy. admit follows the contract described on runFlow.
+func (s *Service) sweep(ctx context.Context, req *SweepRequest, fresh, proof bool, admit func(*sched.Flow) *handlerError) (*SweepResponse, *handlerError) {
+	groups, herr := s.planSweep(req, fresh, proof)
 	if herr != nil {
-		_ = admit(nil)
+		_ = s.runFlow(1, nil, admit) // settles admission; nothing runs
 		return nil, herr
 	}
 	resp := &SweepResponse{
 		Items:  make([]*VerifyResponse, len(req.Items)),
 		Groups: len(groups),
 	}
-	if s.screenEnabled(req.Screen) {
-		// Screen items up front; groups keep only what the screen could not
-		// answer. A fully screened sweep schedules nothing at all.
-		remaining := groups[:0]
-		for _, g := range groups {
+	// Fresh-mode requests explicitly ask for solver artifacts and are never
+	// screened; otherwise the screen answers what it can up front and the
+	// groups keep only the rest. A fully screened sweep schedules nothing.
+	screen := s.screenEnabled(req.Screen) && !fresh
+	var (
+		units  []unit
+		builds atomic.Int64
+	)
+	for _, g := range groups {
+		if screen {
 			unscreened := g.items[:0]
 			for _, it := range g.items {
 				start := time.Now()
@@ -200,141 +208,102 @@ func (s *Service) sweep(ctx context.Context, req *SweepRequest, admit func(*sche
 				unscreened = append(unscreened, it)
 			}
 			g.items = unscreened
-			if len(g.items) > 0 {
-				remaining = append(remaining, g)
-			}
 		}
-		groups = remaining
-	}
-	if len(groups) == 0 {
-		_ = admit(nil)
-		return resp, nil
-	}
-	fl := s.sched.NewFlow(1)
-	var builds atomic.Int64
-	for _, g := range groups {
-		g := g
-		if err := fl.Submit(len(g.items), func() { s.runGroup(ctx, g, resp, &builds) }); err != nil {
-			// Scheduler closing mid-request: drain whatever was already
-			// submitted (units may be writing into resp), then shed rather
-			// than publish a torn sweep.
-			fl.Wait()
-			_ = admit(nil)
-			return nil, &handlerError{http.StatusServiceUnavailable, "scheduler shutting down"}
+		if len(g.items) > 0 {
+			units = append(units, unit{len(g.items), func() { s.runGroup(ctx, g, resp.Items, &builds) }})
 		}
 	}
-	if aerr := admit(fl); aerr != nil {
-		return nil, aerr
+	if herr := s.runFlow(1, units, admit); herr != nil {
+		return nil, herr
 	}
-	fl.Wait()
 	resp.EncoderBuilds = int(builds.Load())
 	return resp, nil
 }
 
-// runGroup is the body of one sweep group's work unit: it answers the
-// group's items on a single pooled lease, handling mid-group poisoning
-// (discard + re-checkout), pool exhaustion (per-item fresh fallback) and
-// deadline expiry (remaining items inconclusive). Groups of one sweep may
-// run concurrently on different scheduler workers; they write disjoint
-// resp.Items slots and count encoder builds through the shared atomic.
-// Screening already happened at planning time, on the request goroutine.
-func (s *Service) runGroup(ctx context.Context, g *sweepGroup, resp *SweepResponse, builds *atomic.Int64) {
+// runGroup is the body of one group's work unit: it answers the group's
+// items into their slots of out, on a single pooled lease, with the
+// warm→fresh retry ladder per item:
+//
+//  1. the warm pooled encoder, with the item's overlay asserted in a solver
+//     scope — the cheap path;
+//  2. on a retryable failure (budget kind, injected interruption, panic,
+//     scope mismatch), a fresh per-check encoder — the trustworthy path;
+//  3. only then an inconclusive answer carrying the machine-readable
+//     reason.
+//
+// A non-retryable failure (the request's own deadline or cancellation)
+// short-circuits to inconclusive: retrying against an expired deadline
+// cannot succeed. A poisoned lease is discarded mid-group and the next item
+// re-checks out; when every live encoder is leased an item pays for a
+// throwaway build; once the deadline expires every remaining item is
+// inconclusive. At no point does a failure turn into a guessed verdict.
+// Groups of one sweep may run concurrently on different scheduler workers;
+// they write disjoint slots and count encoder builds through the shared
+// atomic.
+func (s *Service) runGroup(ctx context.Context, g *sweepGroup, out []*VerifyResponse, builds *atomic.Int64) {
 	var lease *pool.Lease[*warmModel]
-	settle := func(poisoned bool) {
-		if lease == nil {
-			return
+	defer func() {
+		if lease != nil {
+			_ = lease.Return()
 		}
+	}()
+	check := func(ov *overlay) *VerifyResponse {
+		if err := ctx.Err(); err != nil {
+			return ctxExpired(err)
+		}
+		if lease == nil && !g.fresh {
+			var err error
+			switch lease, err = s.pool.Checkout(ctx, g.key); {
+			case err == nil:
+				if !lease.Warm() {
+					builds.Add(1)
+				}
+			case errors.Is(err, pool.ErrExhausted):
+				// Every live encoder is leased: this item pays for a
+				// throwaway build below instead of failing.
+			case ctx.Err() != nil:
+				// The cold build was abandoned by the request's own
+				// deadline: the item is expired, not failed.
+				return ctxExpired(ctx.Err())
+			default:
+				return itemFailure(err.Error())
+			}
+		}
+		if lease == nil {
+			return s.verifyFresh(ctx, g, ov, 0, builds)
+		}
+		warm := lease.Warm()
+		res, poisoned, err := s.checkWarm(ctx, lease.Item.model, ov)
 		if poisoned {
 			s.m.poisoned.Add(1)
 			_ = lease.Discard()
-		} else {
-			_ = lease.Return()
-		}
-		lease = nil
-	}
-	defer settle(false)
-
-	for _, it := range g.items {
-		if err := ctx.Err(); err != nil {
-			resp.Items[it.index] = ctxExpired(err)
-			continue
-		}
-		start := time.Now()
-		if g.fresh {
-			resp.Items[it.index] = s.sweepFresh(ctx, g, &it, 0, start, builds)
-			continue
-		}
-		if lease == nil {
-			var err error
-			lease, err = s.pool.Checkout(ctx, g.key)
-			if errors.Is(err, pool.ErrExhausted) {
-				// The pool is full of other requests' encoders; this item
-				// pays for a throwaway build instead of failing the sweep.
-				resp.Items[it.index] = s.sweepFresh(ctx, g, &it, 0, start, builds)
-				continue
-			}
-			if err != nil {
-				if ctx.Err() != nil {
-					// The cold build was abandoned by the sweep's own
-					// deadline; the item is expired, not failed.
-					resp.Items[it.index] = ctxExpired(ctx.Err())
-					continue
-				}
-				resp.Items[it.index] = itemFailure(err.Error(), start)
-				continue
-			}
-			if !lease.Warm() {
-				builds.Add(1)
-			}
-		}
-		warm := lease.Warm()
-		res, herr, poisoned := s.checkWarm(ctx, lease.Item.model, &it.ov)
-		if poisoned {
-			// The lease is settled right here; a healthy lease stays out
-			// for the group's remaining items.
-			settle(true)
+			lease = nil
 		}
 		switch {
-		case herr != nil:
-			// Planning validated the overlay, so this is encoder/internal
-			// trouble; the item reports it without a verdict.
-			resp.Items[it.index] = itemFailure(herr.msg, start)
+		case err != nil:
+			return itemFailure(err.Error())
 		case res != nil && !res.Inconclusive:
-			r := s.buildResponse(res, warm, 0)
-			r.ElapsedMs = time.Since(start).Milliseconds()
-			resp.Items[it.index] = r
+			return s.buildResponse(res, warm, 0)
+		case (res == nil || res.Stats.Unknown.Retryable()) && ctx.Err() == nil:
+			// A panic (nil result) is encoder trouble, not request trouble.
+			s.m.retries.Add(1)
+			return s.verifyFresh(ctx, g, ov, 1, builds)
 		default:
-			retryable := res == nil || res.Stats.Unknown.Retryable()
-			if retryable && ctx.Err() == nil {
-				s.m.retries.Add(1)
-				resp.Items[it.index] = s.sweepFresh(ctx, g, &it, 1, start, builds)
-			} else {
-				r := s.buildResponse(res, warm, 0)
-				r.ElapsedMs = time.Since(start).Milliseconds()
-				resp.Items[it.index] = r
-			}
+			return s.buildResponse(res, warm, 0)
 		}
 	}
-}
-
-// sweepFresh answers one sweep item on a throwaway encoder (collision
-// groups, pool exhaustion, or the retry ladder's second rung). Each call is
-// a cold build, counted against the sweep's amortization. Sweep items run
-// sequentially inside their group unit (workers=1), so no flow is passed.
-func (s *Service) sweepFresh(ctx context.Context, g *sweepGroup, it *plannedItem, retries int, start time.Time, builds *atomic.Int64) *VerifyResponse {
-	builds.Add(1)
-	r, herr := s.verifyFresh(ctx, g.spec, &it.ov, false, retries)
-	if herr != nil {
-		return itemFailure(herr.msg, start)
+	for _, it := range g.items {
+		start := time.Now()
+		r := check(&it.ov)
+		r.ElapsedMs = time.Since(start).Milliseconds()
+		out[it.index] = r
 	}
-	r.ElapsedMs = time.Since(start).Milliseconds()
-	return r
 }
 
 // ctxExpired is the verdict-free answer for checks the request deadline (or
 // a client cancellation) ended before a verdict: inconclusive with the
-// machine-readable reason. Sweeps use it for frozen items; verifies use it
-// when the deadline lands during an encoder build.
+// machine-readable reason. Frozen items and deadlines that land during an
+// encoder build both use it.
 func ctxExpired(err error) *VerifyResponse {
 	reason := smt.ReasonCancelled
 	if errors.Is(err, context.DeadlineExceeded) {
@@ -350,11 +319,10 @@ func ctxExpired(err error) *VerifyResponse {
 // itemFailure is the verdict-free answer for an item whose solve failed in a
 // way that is not a scenario verdict (internal error, encoder trouble past
 // the retry ladder). The sweep keeps going; the item is inconclusive.
-func itemFailure(msg string, start time.Time) *VerifyResponse {
+func itemFailure(msg string) *VerifyResponse {
 	return &VerifyResponse{
 		Status:        "inconclusive",
 		Why:           msg,
 		UnknownReason: unknownToken(smt.ReasonOther),
-		ElapsedMs:     time.Since(start).Milliseconds(),
 	}
 }

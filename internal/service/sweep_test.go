@@ -166,6 +166,7 @@ func TestSweepValidation(t *testing.T) {
 		{"negative bound", SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{MaxAlteredMeasurements: &neg}}}},
 		{"bus out of range", SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{}, {SecuredBuses: []int{99}}}}},
 		{"measurement out of range", SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{}, {SecuredMeasurements: []int{999}}}}},
+		{"target out of range", SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{}, {Targets: []int{99}}}}},
 	}
 	for _, tc := range cases {
 		resp, raw := post(t, srv, "/v1/sweep", tc.req)

@@ -2,11 +2,11 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"segrid/internal/core"
@@ -19,124 +19,34 @@ import (
 	"segrid/internal/smt"
 )
 
-// verify answers one verification request: the screening tier first (on the
-// request goroutine, consulting the screen-verdict cache — a definitive
-// screen never schedules anything), then one scheduler work unit running
-// the retry ladder:
-//
-//  1. a warm pooled encoder, with the per-request overlay asserted in a
-//     solver scope — the cheap path;
-//  2. on a retryable failure (budget kind, injected interruption, panic,
-//     scope mismatch), a fresh per-check encoder — the trustworthy path;
-//  3. only then an inconclusive answer carrying the machine-readable
-//     reason.
-//
-// A non-retryable failure (the request's own deadline or cancellation)
-// short-circuits to inconclusive: retrying against an expired deadline
-// cannot succeed. At no point does a failure turn into a guessed verdict.
-//
-// admit, when non-nil, is called exactly once after the request's units (if
-// any) are submitted — with the flow, or with nil when screening answered
-// without scheduling. A non-nil admit error means the flow was aborted
-// before starting (queue-wait shed, client gone); verify returns it without
-// waiting.
+// verify answers one verification request as a one-item sweep: the
+// request's secured buses and measurements are the item's overlay on its
+// attack spec, so it runs through the same planner, screening tier and
+// group executor (with its warm→fresh retry ladder) as every /v1/sweep
+// item. Proof and freshEncode requests plan onto a fresh-encoder group and
+// are never screened: both explicitly ask for solver artifacts.
 func (s *Service) verify(ctx context.Context, req *VerifyRequest, admit func(*sched.Flow) *handlerError) (*VerifyResponse, *handlerError) {
-	if admit == nil {
-		admit = func(*sched.Flow) *handlerError { return nil }
+	one := &SweepRequest{
+		Attack: req.Attack,
+		Items:  []SweepItem{{SecuredBuses: req.SecuredBuses, SecuredMeasurements: req.SecuredMeasurements}},
+		Screen: req.Screen,
 	}
-	ov := &overlay{
-		securedBuses:        req.SecuredBuses,
-		securedMeasurements: req.SecuredMeasurements,
-	}
-	if s.screenEnabled(req.Screen) && !req.Proof && !req.FreshEncode {
-		// The screening tier answers ahead of the whole encoder machinery:
-		// no pool key, no lease, no SMT work, no scheduled unit. Proof
-		// requests skip it (the client wants the solver's certificate
-		// stream), as do differential freshEncode requests.
-		if r := s.screenItem(ctx, &req.Attack, ov); r != nil {
-			_ = admit(nil)
-			return r, nil
-		}
-	}
-	fl := s.sched.NewFlow(1)
-	var (
-		resp *VerifyResponse
-		herr *handlerError
-	)
-	if err := fl.Submit(1, func() { resp, herr = s.verifySolve(ctx, req, ov) }); err != nil {
-		_ = admit(nil)
-		return nil, &handlerError{http.StatusServiceUnavailable, "scheduler shutting down"}
-	}
-	if aerr := admit(fl); aerr != nil {
-		return nil, aerr
-	}
-	fl.Wait()
-	return resp, herr
-}
-
-// verifySolve is the body of a verification work unit: the warm-pool path
-// with the warm→fresh retry ladder.
-func (s *Service) verifySolve(ctx context.Context, req *VerifyRequest, ov *overlay) (*VerifyResponse, *handlerError) {
-	if req.Proof || req.FreshEncode {
-		// Certificate streams capture a solver lifetime; differential
-		// requests want no shared state. Both bypass the pool.
-		return s.verifyFresh(ctx, &req.Attack, ov, req.Proof, 0)
-	}
-	key, herr := s.keyFor(&req.Attack)
+	resp, herr := s.sweep(ctx, one, req.Proof || req.FreshEncode, req.Proof, admit)
 	if herr != nil {
-		return nil, herr
+		// The planner names the failing item; a verify has only the one.
+		return nil, &handlerError{herr.status, strings.TrimPrefix(herr.msg, "sweep item 0: ")}
 	}
-	if key == (pool.Key{}) {
-		// A key-hash collision between distinct specs: never share an
-		// encoder across models. Fall back to a fresh encoding.
-		return s.verifyFresh(ctx, &req.Attack, ov, false, 0)
-	}
-	lease, err := s.pool.Checkout(ctx, key)
-	if errors.Is(err, pool.ErrExhausted) {
-		return nil, &handlerError{http.StatusServiceUnavailable, "encoder pool exhausted"}
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			// The cold build was abandoned because this request's deadline
-			// expired or it was cancelled — an inconclusive answer, not a
-			// client error.
-			return ctxExpired(ctx.Err()), nil
-		}
-		return nil, &handlerError{http.StatusBadRequest, err.Error()}
-	}
-	res, herr, poisoned := s.checkWarm(ctx, lease.Item.model, ov)
-	if poisoned {
-		s.m.poisoned.Add(1)
-		_ = lease.Discard()
-	} else {
-		_ = lease.Return()
-	}
-	if herr != nil {
-		return nil, herr
-	}
-	if res != nil && !res.Inconclusive {
-		return s.buildResponse(res, lease.Warm(), 0), nil
-	}
-	// Decide whether the failure is worth a fresh-encoder retry.
-	retryable := res == nil // a panic is encoder trouble, not request trouble
-	if res != nil {
-		retryable = res.Stats.Unknown.Retryable()
-	}
-	if !retryable || ctx.Err() != nil {
-		return s.buildResponse(res, lease.Warm(), 0), nil
-	}
-	s.m.retries.Add(1)
-	return s.verifyFresh(ctx, &req.Attack, ov, false, 1)
+	return resp.Items[0], nil
 }
 
 // keyFor fingerprints spec into its pool key and registers the spec for the
 // pool's cold-build hook. A key-hash collision against a different
 // registered spec returns the zero Key: the caller must not share an
 // encoder and falls back to fresh encoding.
-func (s *Service) keyFor(spec *scenariofile.AttackSpec) (pool.Key, *handlerError) {
+func (s *Service) keyFor(spec *scenariofile.AttackSpec) (pool.Key, error) {
 	key, err := poolKey(spec)
 	if err != nil {
-		return pool.Key{}, &handlerError{http.StatusBadRequest, err.Error()}
+		return pool.Key{}, err
 	}
 	if prev, loaded := s.specs.LoadOrStore(key, spec); loaded {
 		if !specEqual(prev.(*scenariofile.AttackSpec), spec) {
@@ -147,10 +57,11 @@ func (s *Service) keyFor(spec *scenariofile.AttackSpec) (pool.Key, *handlerError
 }
 
 // checkWarm runs one check on a leased warm encoder. The overlay is
-// asserted inside a Push/Pop scope; the boolean result reports whether the
-// encoder must be quarantined (Unknown result, panic, failed Pop — any
-// ending after which its internal state cannot be trusted).
-func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov *overlay) (res *core.Result, herr *handlerError, poisoned bool) {
+// asserted inside a Push/Pop scope; poisoned reports whether the encoder
+// must be quarantined (Unknown result, panic, failed Pop — any ending after
+// which its internal state cannot be trusted). A nil result with a nil
+// error is a recovered panic.
+func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov *overlay) (res *core.Result, poisoned bool, err error) {
 	sv := m.Solver()
 	sv.SetBudget(s.cfg.Budget)
 	if s.cfg.Faults != nil {
@@ -160,32 +71,23 @@ func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov *overlay) (re
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.panics.Add(1)
-			res, herr, poisoned = nil, nil, true
+			res, poisoned, err = nil, true, nil
 		}
 	}()
 	sv.Push()
 	if err := applyOverlay(m, ov); err != nil {
-		// Invalid overlay is the caller's error; the encoder is fine once
-		// the scope unwinds.
-		if perr := sv.Pop(); perr != nil {
-			return nil, &handlerError{http.StatusBadRequest, err.Error()}, true
-		}
-		return nil, &handlerError{http.StatusBadRequest, err.Error()}, false
+		// Planning validated the overlay, so this is unexpected; the
+		// encoder is fine once the scope unwinds.
+		return nil, sv.Pop() != nil, err
 	}
-	res, err := s.checkModel(ctx, m)
+	res, err = s.checkModel(ctx, m)
 	if err != nil {
-		return nil, &handlerError{http.StatusInternalServerError, err.Error()}, true
+		return nil, true, err
 	}
-	if res.Inconclusive {
-		// The solve was torn mid-flight; skip the Pop and quarantine.
-		return res, nil, true
-	}
-	if err := sv.Pop(); err != nil {
-		// The verdict predates the failed Pop and stands; the encoder does
-		// not go back to the pool.
-		return res, nil, true
-	}
-	return res, nil, false
+	// An Inconclusive solve was torn mid-flight: skip the Pop and
+	// quarantine. A verdict predating a failed Pop stands, but the encoder
+	// does not go back to the pool.
+	return res, res.Inconclusive || sv.Pop() != nil, nil
 }
 
 // checkModel answers one verification check with a sequential solve. The
@@ -197,13 +99,16 @@ func (s *Service) checkModel(ctx context.Context, m *core.Model) (*core.Result, 
 	return m.CheckContext(ctx)
 }
 
-// verifyFresh is the ladder's trustworthy rung: a throwaway FreshPerCheck
-// encoder for spec with ov asserted, optionally streaming an UNSAT
-// certificate to a per-request atomic file.
-func (s *Service) verifyFresh(ctx context.Context, spec *scenariofile.AttackSpec, ov *overlay, wantProof bool, retries int) (*VerifyResponse, *handlerError) {
-	sc, err := spec.Scenario()
+// verifyFresh answers one item of g on a throwaway FreshPerCheck encoder —
+// fresh groups, pool exhaustion, and the retry ladder's trustworthy rung —
+// optionally streaming an UNSAT certificate to a per-request atomic file.
+// Each call is a cold build, counted into builds. Failures that are not a
+// scenario verdict answer inconclusive.
+func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, retries int, builds *atomic.Int64) *VerifyResponse {
+	builds.Add(1)
+	sc, err := g.spec.Scenario()
 	if err != nil {
-		return nil, &handlerError{http.StatusBadRequest, err.Error()}
+		return itemFailure(err.Error())
 	}
 	opts := smt.DefaultOptions()
 	opts.FreshPerCheck = true
@@ -219,10 +124,10 @@ func (s *Service) verifyFresh(ctx context.Context, spec *scenariofile.AttackSpec
 		tmp       *os.File
 		finalName string
 	)
-	if wantProof {
+	if g.proof {
 		f, err := os.CreateTemp(s.cfg.ProofDir, ".verify-*.tmp")
 		if err != nil {
-			return nil, &handlerError{http.StatusInternalServerError, fmt.Sprintf("stage certificate: %v", err)}
+			return itemFailure(fmt.Sprintf("stage certificate: %v", err))
 		}
 		tmp = f
 		pw = proof.NewWriter(dec.Wrap(f))
@@ -231,30 +136,30 @@ func (s *Service) verifyFresh(ctx context.Context, spec *scenariofile.AttackSpec
 	}
 	sc.Options = &opts
 
-	resp, herr := func() (resp *VerifyResponse, herr *handlerError) {
+	resp := func() (resp *VerifyResponse) {
 		defer func() {
 			if r := recover(); r != nil {
 				s.m.panics.Add(1)
-				resp, herr = nil, &handlerError{http.StatusInternalServerError, fmt.Sprintf("solver panic: %v", r)}
+				resp = itemFailure(fmt.Sprintf("solver panic: %v", r))
 			}
 		}()
 		m, err := core.NewModelContext(ctx, sc)
 		if err != nil {
 			if ctx.Err() != nil {
 				// The fresh encoding was abandoned by this request's own
-				// deadline or cancellation: an inconclusive answer.
-				return ctxExpired(ctx.Err()), nil
+				// deadline or cancellation.
+				return ctxExpired(ctx.Err())
 			}
-			return nil, &handlerError{http.StatusBadRequest, err.Error()}
+			return itemFailure(err.Error())
 		}
 		if err := applyOverlay(m, ov); err != nil {
-			return nil, &handlerError{http.StatusBadRequest, err.Error()}
+			return itemFailure(err.Error())
 		}
 		res, err := s.checkModel(ctx, m)
 		if err != nil {
-			return nil, &handlerError{http.StatusInternalServerError, err.Error()}
+			return itemFailure(err.Error())
 		}
-		return s.buildResponse(res, false, retries), nil
+		return s.buildResponse(res, false, retries)
 	}()
 
 	if pw != nil {
@@ -262,7 +167,7 @@ func (s *Service) verifyFresh(ctx context.Context, spec *scenariofile.AttackSpec
 		if cerr := tmp.Close(); werr == nil {
 			werr = cerr
 		}
-		infeasible := herr == nil && resp != nil && resp.Status == "infeasible"
+		infeasible := resp.Status == "infeasible"
 		if infeasible && werr == nil {
 			// Publish: the certificate is complete and certifies this very
 			// verdict. Rename is atomic; a crash before it leaves only a
@@ -285,7 +190,7 @@ func (s *Service) verifyFresh(ctx context.Context, spec *scenariofile.AttackSpec
 			}
 		}
 	}
-	return resp, herr
+	return resp
 }
 
 // screenEnabled resolves a per-request screening override against the
@@ -311,7 +216,7 @@ func (s *Service) screenEnabled(override *bool) bool {
 // complete answer record whether a verdict was computed or remembered.
 func (s *Service) screenItem(ctx context.Context, spec *scenariofile.AttackSpec, ov *overlay) *VerifyResponse {
 	key := screenCacheKey(spec, ov)
-	if cached, ok := s.screens.get(key); ok {
+	if cached, ok := s.screens.Get(key); ok {
 		s.m.screenCacheHits.Add(1)
 		if cached == nil {
 			s.m.screenInconclusive.Add(1)
@@ -343,12 +248,12 @@ func (s *Service) screenItem(ctx context.Context, spec *scenariofile.AttackSpec,
 			// A clean inconclusive is deterministic (the pivot cap, not the
 			// clock, gave up) and worth remembering: repeats skip straight
 			// to the SMT tier.
-			s.screens.put(key, nil)
+			s.screens.Put(key, nil)
 		}
 		return nil
 	}
 	cres := core.ResultFromScreen(res)
-	s.screens.put(key, cres)
+	s.screens.Put(key, cres)
 	if res.Verdict == screen.Infeasible {
 		s.m.screenRejects.Add(1)
 	} else {
