@@ -99,11 +99,31 @@ func (a *AttackSpec) system() (*grid.System, error) {
 		}
 		return grid.Case(a.Case)
 	}
+	// Every bus of a custom system must be on a line: an isolated bus is
+	// a state no measurement observes. The rule also bounds the system by
+	// its line list (buses ≤ 2·lines), checked before anything is sized by
+	// the bus count, so a short spec cannot claim millions of buses.
+	if a.Buses > 2*len(a.Lines) {
+		return nil, fmt.Errorf("scenariofile: %d buses on %d lines: some bus is on no line", a.Buses, len(a.Lines))
+	}
 	lines := make([]grid.Line, len(a.Lines))
 	for i, l := range a.Lines {
 		lines[i] = grid.Line{ID: i + 1, From: l.From, To: l.To, Admittance: l.Admittance}
 	}
-	return grid.NewSystem("custom", a.Buses, lines)
+	sys, err := grid.NewSystem("custom", a.Buses, lines)
+	if err != nil {
+		return nil, err
+	}
+	onLine := make([]bool, sys.Buses+1)
+	for _, l := range sys.Lines {
+		onLine[l.From], onLine[l.To] = true, true
+	}
+	for b := 1; b <= sys.Buses; b++ {
+		if !onLine[b] {
+			return nil, fmt.Errorf("scenariofile: bus %d is on no line", b)
+		}
+	}
+	return sys, nil
 }
 
 // lineFlagSlice builds a 1-based per-line flag slice from an ID list.

@@ -3,6 +3,7 @@ package scenariofile
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +191,25 @@ func TestShippedScenarioFiles(t *testing.T) {
 	}
 	if _, err := aspec.Scenario(); err != nil {
 		t.Fatalf("Scenario: %v", err)
+	}
+}
+
+// TestCustomSystemRejectsIsolatedBuses: every bus of a custom system must
+// be on a line, which bounds the system by its line list. A bus count far
+// beyond the lines is refused before anything is sized by it.
+func TestCustomSystemRejectsIsolatedBuses(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"isolated bus", `{"buses":4,"lines":[{"from":1,"to":2,"admittance":1},{"from":2,"to":3,"admittance":1}]}`},
+		{"huge bus count", `{"buses":4000000,"lines":[{"from":1,"to":2,"admittance":1}],"targets":[2]}`},
+	} {
+		spec, err := ParseAttack([]byte(tc.body))
+		if err != nil {
+			t.Fatalf("%s: ParseAttack: %v", tc.name, err)
+		}
+		if _, err := spec.Scenario(); err == nil || !strings.Contains(err.Error(), "on no line") {
+			t.Fatalf("%s: Scenario err = %v, want an isolated-bus rejection", tc.name, err)
+		}
 	}
 }

@@ -1,0 +1,81 @@
+package service
+
+import (
+	"bytes"
+	"net/http"
+	"testing"
+)
+
+// FuzzSweepRequest throws arbitrary bytes at the JSON API's decode and plan
+// stages — decodeStrict, then planSweep — without solving anything. A
+// verify is planned as a one-item sweep, so the seeds include verify bodies
+// in that form. The property: no panic, every rejection is a 400, and every
+// accepted plan places each item exactly once in a group whose effective
+// scenario and overlays validate, so group execution cannot meet a caller
+// error mid-batch.
+func FuzzSweepRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"attack":{"case":"ieee14","anyState":true},"items":[{"securedBuses":[1,3,6,8,9]}]}`,
+		`{"attack":{"case":"ieee14","untaken":[5,10,14,19,22,27,30,35,43,52],"targets":[12],"onlyTargets":true},"items":[{"securedMeasurements":[46]}]}`,
+		`{"attack":{"case":"ieee14","untaken":[5,10,14,19,22,27,30,35,43,52],"targets":[12],"onlyTargets":true},"items":[{},{"securedMeasurements":[46]},{"targets":[9]}]}`,
+		`{"attack":{"case":"ieee30","anyState":true,"maxMeasurements":6},"items":[{"maxAlteredMeasurements":4},{"maxAlteredMeasurements":0},{"maxCompromisedBuses":2}]}`,
+		`{"attack":{"buses":3,"lines":[{"from":1,"to":2,"admittance":1.5},{"from":2,"to":3,"admittance":0.5}],"anyState":true},"items":[{"securedBuses":[2]}]}`,
+		`{"attack":{"buses":4000000,"lines":[{"from":1,"to":2,"admittance":1}],"targets":[2]},"items":[{}],"timeoutMs":3000}`,
+		`{"attack":{"case":"ieee14","targets":[99]},"items":[{}]}`,
+		`{"attack":{"case":"ieee14"},"items":[]}`,
+		`{"attack":{"case":"ieee14"},"items":[{"securedBuses":[0]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req SweepRequest
+		if err := decodeStrict(bytes.NewReader(data), &req); err != nil {
+			return
+		}
+		// planSweep reads only the configuration and the spec registry, so
+		// a bare Service plans without starting a scheduler.
+		s := &Service{cfg: Config{}.withDefaults()}
+		groups, herr := s.planSweep(&req, false, false)
+		if herr != nil {
+			if herr.status != http.StatusBadRequest {
+				t.Fatalf("plan rejected with %d: %s", herr.status, herr.msg)
+			}
+			return
+		}
+		placed := make([]bool, len(req.Items))
+		for _, g := range groups {
+			sc, err := g.spec.Scenario()
+			if err == nil {
+				err = sc.Validate()
+			}
+			if err != nil {
+				t.Fatalf("accepted group's scenario is invalid: %v", err)
+			}
+			sys := sc.System()
+			for _, it := range g.items {
+				if placed[it.index] {
+					t.Fatalf("item %d planned twice", it.index)
+				}
+				placed[it.index] = true
+				for _, j := range it.ov.securedBuses {
+					if j < 1 || j > sys.Buses {
+						t.Fatalf("item %d: secured bus %d accepted", it.index, j)
+					}
+				}
+				for _, id := range it.ov.securedMeasurements {
+					if id < 1 || id > sys.NumMeasurements() {
+						t.Fatalf("item %d: secured measurement %d accepted", it.index, id)
+					}
+				}
+				if it.ov.maxAltered < 0 || it.ov.maxBuses < 0 {
+					t.Fatalf("item %d: negative overlay bound accepted", it.index)
+				}
+			}
+		}
+		for i, ok := range placed {
+			if !ok {
+				t.Fatalf("item %d not planned", i)
+			}
+		}
+	})
+}

@@ -36,7 +36,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -274,8 +276,13 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/proofcheck", s.handleProofCheck)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return mux
+	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
+
+// maxBodyBytes caps every request body. A 256-item ieee118 sweep securing
+// every measurement comes to about 0.5 MB; past the cap the decoder fails
+// and the request is a 400.
+const maxBodyBytes = 4 << 20
 
 // Close stops the scheduler (queued units drain; new submissions are
 // refused) and then drains the warm pool. Outstanding requests finish on
@@ -568,7 +575,7 @@ func (s *Service) synthesizeUnit(ctx context.Context, req *SynthesizeRequest, wo
 		}
 		arch, err := synth.SynthesizeMeasurementsContext(ctx, mreq)
 		if err != nil {
-			return synthFailure(err)
+			return s.synthFailure(err)
 		}
 		return &SynthesizeResponse{
 			Status:              "found",
@@ -600,7 +607,7 @@ func (s *Service) synthesizeUnit(ctx context.Context, req *SynthesizeRequest, wo
 	}
 	arch, err := synth.SynthesizeContext(ctx, sreq)
 	if err != nil {
-		return synthFailure(err)
+		return s.synthFailure(err)
 	}
 	return &SynthesizeResponse{
 		Status:       "found",
@@ -610,9 +617,12 @@ func (s *Service) synthesizeUnit(ctx context.Context, req *SynthesizeRequest, wo
 	}, nil
 }
 
-// synthFailure maps synthesis outcomes that are answers, not errors:
-// impossibility is a proof, exhaustion is inconclusive.
-func synthFailure(err error) (*SynthesizeResponse, *handlerError) {
+// synthFailure maps a synthesis error. Impossibility (a proof) and
+// exhaustion (inconclusive) are answers. Invalid requirements are the
+// client's fault: 400. Anything else failed the run itself — a solver
+// error, or a certificate that could not be written or closed — and is a
+// 500; certificate failures also count in proofErrors.
+func (s *Service) synthFailure(err error) (*SynthesizeResponse, *handlerError) {
 	switch {
 	case errors.Is(err, synth.ErrNoArchitecture):
 		return &SynthesizeResponse{Status: "impossible", Why: err.Error()}, nil
@@ -620,9 +630,17 @@ func synthFailure(err error) (*SynthesizeResponse, *handlerError) {
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled):
 		return &SynthesizeResponse{Status: "inconclusive", Why: err.Error()}, nil
-	default:
+	case errors.Is(err, synth.ErrInvalidRequirements):
 		return nil, &handlerError{http.StatusBadRequest, err.Error()}
 	}
+	// Synthesis touches the file system only to write certificates, so a
+	// file-system error anywhere in the chain is a certificate failure.
+	var pathErr *fs.PathError
+	var linkErr *os.LinkError
+	if errors.As(err, &pathErr) || errors.As(err, &linkErr) {
+		s.m.proofErrors.Add(1)
+	}
+	return nil, &handlerError{http.StatusInternalServerError, err.Error()}
 }
 
 func (s *Service) handleProofCheck(w http.ResponseWriter, r *http.Request) {

@@ -437,3 +437,65 @@ func TestOverlayErrorKeepsEncoderHealthy(t *testing.T) {
 		t.Fatalf("overlay error quarantined the encoder: %+v", ps)
 	}
 }
+
+// TestVerifyRejectsHugeCustomSystem: a ~110-byte body claiming a
+// 4,000,000-bus custom system on one line must be refused promptly with 400,
+// before anything is sized by the bus count (every bus must be on a line).
+// Bodies past the 4 MiB cap are refused with 400 too.
+func TestVerifyRejectsHugeCustomSystem(t *testing.T) {
+	svc, srv := newTestServer(t, Config{})
+	body := `{"attack":{"buses":4000000,"lines":[{"from":1,"to":2,"admittance":1}],"targets":[2]},"timeoutMs":3000}`
+	start := time.Now()
+	resp, err := srv.Client().Post(srv.URL+"/v1/verify", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusBadRequest || elapsed > 2*time.Second {
+		t.Fatalf("huge custom system: %d after %s (%s), want a prompt 400", resp.StatusCode, elapsed, raw)
+	}
+
+	big := `{"attack":{"case":"ieee14"}` + strings.Repeat(" ", maxBodyBytes) + `}`
+	resp, err = srv.Client().Post(srv.URL+"/v1/sweep", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body past the cap: %d, want 400", resp.StatusCode)
+	}
+	if got := svc.m.badRequests.Load(); got != 2 {
+		t.Fatalf("badRequests = %d, want 2", got)
+	}
+}
+
+// TestSynthesizeErrorStatuses: invalid requirements are the client's fault
+// (400, counted in badRequests); a run that fails on its own — here an
+// unwritable proof directory — is a 500 counted in proofErrors, not a bad
+// request.
+func TestSynthesizeErrorStatuses(t *testing.T) {
+	dir := t.TempDir()
+	svc, srv := newTestServer(t, Config{ProofDir: dir})
+	spec := scenariofile.SynthesisSpec{
+		Attack:          scenariofile.AttackSpec{Case: "ieee14", AnyState: true},
+		MaxSecuredBuses: 5,
+		ExcludedBuses:   []int{99},
+	}
+	resp, raw := post(t, srv, "/v1/synthesize", SynthesizeRequest{Synthesis: spec})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("excluded bus 99: %d %s, want 400", resp.StatusCode, raw)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	spec.ExcludedBuses = nil
+	resp, raw = post(t, srv, "/v1/synthesize", SynthesizeRequest{Synthesis: spec, Proof: true})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("unwritable proof dir: %d %s, want 500", resp.StatusCode, raw)
+	}
+	if bad, proofErrs := svc.m.badRequests.Load(), svc.m.proofErrors.Load(); bad != 1 || proofErrs != 1 {
+		t.Fatalf("badRequests = %d, proofErrors = %d, want 1 and 1", bad, proofErrs)
+	}
+}

@@ -11,12 +11,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"segrid/internal/core"
 	"segrid/internal/proof"
-	"segrid/internal/screen"
-	"segrid/internal/smt"
 )
 
 // harvestDepth is the number of counterexamples a cube worker extracts from
@@ -80,26 +76,28 @@ func (p *supportPool) Size() int {
 	return len(p.clauses)
 }
 
-// publish adds a support (already ascending); it reports whether it was new.
-func (p *supportPool) publish(s []int) bool {
-	if len(s) == 0 {
-		return false
+// publish adds a support (already ascending) unless it is already pooled.
+// A nil pool (a run outside a cube fleet) shares nothing.
+func (p *supportPool) publish(s []int) {
+	if p == nil || len(s) == 0 {
+		return
 	}
 	key := fmt.Sprint(s)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.seen[key] {
-		return false
+	if !p.seen[key] {
+		p.seen[key] = true
+		p.clauses = append(p.clauses, append([]int(nil), s...))
 	}
-	p.seen[key] = true
-	p.clauses = append(p.clauses, append([]int(nil), s...))
-	return true
 }
 
 // since returns the entries published after cursor plus the new cursor.
 // Entries are never mutated after publication, so the returned slice can be
-// read without further locking.
+// read without further locking. A nil pool has no entries.
 func (p *supportPool) since(cursor int) ([][]int, int) {
+	if p == nil {
+		return nil, 0
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.clauses[cursor:], len(p.clauses)
@@ -121,13 +119,9 @@ func pickPivots(req *Requirements, k int) []int {
 		banned[j] = true
 	}
 	adj := make(map[int][]int)
-	if req.Prune {
-		for _, ln := range sys.Lines {
-			if sc.Meas.Taken[sys.ForwardFlowMeas(ln.ID)] || sc.Meas.Taken[sys.BackwardFlowMeas(ln.ID)] {
-				adj[ln.From] = append(adj[ln.From], ln.To)
-				adj[ln.To] = append(adj[ln.To], ln.From)
-			}
-		}
+	for _, p := range busJob(req).pairs {
+		adj[p[0]] = append(adj[p[0]], p[1])
+		adj[p[1]] = append(adj[p[1]], p[0])
 	}
 	type busDeg struct{ bus, deg int }
 	degs := make([]busDeg, 0, sys.Buses)
@@ -204,29 +198,18 @@ func disjoint(candidate, clause []int) bool {
 	return true
 }
 
-// cubeWorker is the per-worker state of a cube-and-conquer run.
+// cubeWorker is one worker of a cube-and-conquer fleet: the shared
+// candidate loop plus the worker's cube bookkeeping.
 type cubeWorker struct {
-	id      int
-	attacks []*core.Model
-	scens   []*core.Scenario // attack scenarios, parallel to attacks (screening)
-	writers []*proof.Writer
-	paths   []string
-
-	selectTime  time.Duration
-	verifyTime  time.Duration
-	selectStats smt.Stats
-	verifyStats smt.Stats
-	best        []int
-	emptyCubes  int
-	stopErr     error // *BudgetExhaustedError or hard error; nil otherwise
+	*worker
+	id         int
+	emptyCubes int
+	stopErr    error // *BudgetExhaustedError or hard error; nil otherwise
 }
 
 // cubeRun is the shared state of a cube-and-conquer run.
 type cubeRun struct {
-	req     *Requirements
-	pol     policy
 	cubes   [][]cubeLit
-	pool    *supportPool
 	nextCub atomic.Int64
 	iters   atomic.Int64
 	winner  atomic.Int64 // worker id + 1; 0 = unclaimed
@@ -235,41 +218,28 @@ type cubeRun struct {
 }
 
 // claimWin publishes w's verified architecture if no other worker won first.
-func (r *cubeRun) claimWin(w *cubeWorker, candidate []int) bool {
-	if !r.winner.CompareAndSwap(0, int64(w.id)+1) {
-		return false
+func (r *cubeRun) claimWin(w *cubeWorker, candidate []int) {
+	if r.winner.CompareAndSwap(0, int64(w.id)+1) {
+		r.arch = w.architecture(candidate)
+		r.cancel()
 	}
-	r.arch = &Architecture{
-		SecuredBuses: candidate,
-		SelectTime:   w.selectTime,
-		VerifyTime:   w.verifyTime,
-		SelectStats:  w.selectStats,
-		VerifyStats:  w.verifyStats,
-	}
-	r.cancel()
-	return true
 }
 
 // synthesizeCubes runs Algorithm 1 cube-and-conquer style: the candidate
 // space is split into sign cubes over pivot buses, workers drain the cube
-// queue, and each worker runs the selection/verification loop on its own
+// queue, and each worker runs the shared candidate loop on its own
 // incremental solver instances. Counterexample supports harvested by any
 // worker become blocking clauses for all of them, so the fleet converges on
 // the hitting set together instead of rediscovering each attack per cube.
-func synthesizeCubes(ctx context.Context, req *Requirements, workers int) (res *Architecture, err error) {
-	ctx, cancelRun := req.Limits.runContext(ctx)
+func synthesizeCubes(ctx context.Context, req *Requirements, j *job, workers int) (res *Architecture, err error) {
+	ctx, cancelRun := j.limits.runContext(ctx)
 	defer cancelRun()
 
 	pool := req.SupportPool
 	if pool == nil {
 		pool = newSupportPool()
 	}
-	run := &cubeRun{
-		req:   req,
-		pol:   req.Limits.policy(),
-		cubes: planCubes(req, workers),
-		pool:  pool,
-	}
+	run := &cubeRun{cubes: planCubes(req, workers)}
 	if workers > len(run.cubes) {
 		workers = len(run.cubes)
 	}
@@ -277,37 +247,21 @@ func synthesizeCubes(ctx context.Context, req *Requirements, workers int) (res *
 	defer cancel()
 	run.cancel = cancel
 
-	tag := req.ProofTag
-	if tag == "" && req.ProofDir != "" {
+	tag := j.proofTag
+	if tag == "" && j.proofDir != "" {
 		tag = proof.UniqueName("", "")
 	}
-
-	scenarios := append([]*core.Scenario{req.Attack}, req.ExtraAttacks...)
 	ws := make([]*cubeWorker, workers)
 	for i := range ws {
-		w := &cubeWorker{id: i}
-		scs := scenarios
-		if req.ProofDir != "" {
-			scs, w.writers, w.paths, err = withProofWriters(req.ProofDir, fmt.Sprintf("%s-w%d", tag, i), scenarios)
-			if err != nil {
-				for _, prev := range ws[:i] {
-					abortProofWriters(prev.writers)
-				}
-				return nil, err
+		w, err := j.newWorker(fmt.Sprintf("%s-w%d", tag, i))
+		if err != nil {
+			for _, prev := range ws[:i] {
+				abortProofWriters(prev.writers)
 			}
+			return nil, err
 		}
-		for _, sc := range scs {
-			m, merr := core.NewModel(sc)
-			if merr != nil {
-				for _, prev := range ws[:i+1] {
-					abortProofWriters(prev.writers)
-				}
-				return nil, fmt.Errorf("synth: attack model: %w", merr)
-			}
-			w.attacks = append(w.attacks, m)
-			w.scens = append(w.scens, sc)
-		}
-		ws[i] = w
+		w.pool, w.harvest, w.iters = pool, harvestDepth, &run.iters
+		ws[i] = &cubeWorker{worker: w, id: i}
 	}
 
 	var wg sync.WaitGroup
@@ -338,7 +292,7 @@ func synthesizeCubes(ctx context.Context, req *Requirements, workers int) (res *
 			if _, terr := proof.TrimFile(staged); terr != nil {
 				return nil, fmt.Errorf("synth: trimming winner certificate: %w", terr)
 			}
-			final := filepath.Join(req.ProofDir, fmt.Sprintf("attack-%s-%d.proof", tag, si))
+			final := filepath.Join(j.proofDir, fmt.Sprintf("attack-%s-%d.proof", tag, si))
 			if rerr := os.Rename(staged, final); rerr != nil {
 				return nil, fmt.Errorf("synth: publishing winner certificate: %w", rerr)
 			}
@@ -392,24 +346,16 @@ func synthesizeCubes(ctx context.Context, req *Requirements, workers int) (res *
 	return nil, exhausted
 }
 
-// abortProofWriters retracts staged certificate streams (loser/failed
-// workers): the atomic temp files are removed instead of published.
-func abortProofWriters(writers []*proof.Writer) {
-	for _, w := range writers {
-		w.Abort(nil)
-		w.Close()
-	}
-}
-
 // workerLoop drains the cube queue. Each cube gets a fresh selection model
 // (seeded with every support in the pool); attack models persist across the
 // worker's cubes, so clauses learnt refuting one cube's candidates carry
-// over to the next.
+// over to the next. A worker whose verified candidate loses the winner
+// claim to another worker stops quietly.
 func (r *cubeRun) workerLoop(ctx context.Context, w *cubeWorker) {
 	for {
 		if ctx.Err() != nil {
 			if r.winner.Load() == 0 {
-				w.stopErr = r.exhaustedFor(w, ctx.Err())
+				w.stopErr = w.exhausted(ctx.Err())
 			}
 			return
 		}
@@ -417,208 +363,17 @@ func (r *cubeRun) workerLoop(ctx context.Context, w *cubeWorker) {
 		if ci >= len(r.cubes) {
 			return
 		}
-		done, err := r.runCube(ctx, w, r.cubes[ci])
+		candidate, err := w.search(ctx, r.cubes[ci])
 		if err != nil {
 			if r.winner.Load() == 0 {
 				w.stopErr = err
 			}
 			return
 		}
-		if done {
-			return // this worker won
+		if candidate != nil {
+			r.claimWin(w, candidate)
+			return
 		}
 		w.emptyCubes++
 	}
-}
-
-// exhaustedFor wraps a give-up cause with the worker's partial progress.
-func (r *cubeRun) exhaustedFor(w *cubeWorker, reason error) error {
-	return &BudgetExhaustedError{
-		BestCandidate: w.best,
-		Iterations:    int(r.iters.Load()),
-		SelectTime:    w.selectTime,
-		VerifyTime:    w.verifyTime,
-		LastStats:     w.verifyStats,
-		Reason:        reason,
-	}
-}
-
-// runCube runs the selection/verification loop inside one cube. It returns
-// (true, nil) when this worker's verified architecture was published,
-// (false, nil) when the cube is exhausted (no viable candidate in it), and a
-// non-nil error — *BudgetExhaustedError or a hard failure — otherwise.
-func (r *cubeRun) runCube(ctx context.Context, w *cubeWorker, cube []cubeLit) (bool, error) {
-	req := r.req
-	selection, err := newSelectionModel(req)
-	if err != nil {
-		return false, err
-	}
-	for _, cl := range cube {
-		f := smt.B(selection.sb[cl.bus])
-		if !cl.secured {
-			f = smt.Not(f)
-		}
-		selection.solver.Assert(f)
-	}
-	seeds, cursor := r.pool.since(0)
-	for _, s := range seeds {
-		selection.blockByAttack(s)
-	}
-
-	fullBudget := true
-	selection.requireFullBudget(req.MaxSecuredBuses)
-	for {
-		if err := ctx.Err(); err != nil {
-			return false, r.exhaustedFor(w, err)
-		}
-		if req.MaxIterations > 0 && int(r.iters.Load()) >= req.MaxIterations {
-			return false, r.exhaustedFor(w, fmt.Errorf("%d iterations reached: %w", req.MaxIterations, ErrBudgetExhausted))
-		}
-		start := time.Now()
-		candidate, selStats, selStatus, selWhy, err := selection.nextCandidate(ctx)
-		w.selectTime += time.Since(start)
-		w.selectStats = selStats
-		if err != nil {
-			return false, err
-		}
-		if selStatus == smt.Unknown {
-			return false, r.exhaustedFor(w, selWhy)
-		}
-		if selStatus != smt.Sat {
-			if fullBudget {
-				fullBudget = false
-				if err := selection.relaxBudget(); err != nil {
-					return false, fmt.Errorf("synth: relax budget: %w", err)
-				}
-				continue
-			}
-			return false, nil // cube exhausted
-		}
-		r.iters.Add(1)
-		w.best = candidate
-
-		// Pre-screen against supports other workers published since the
-		// last iteration: a support disjoint from the candidate defeats it
-		// without an SMT call.
-		var fresh [][]int
-		fresh, cursor = r.pool.since(cursor)
-		defeated := false
-		for _, s := range fresh {
-			selection.blockByAttack(s)
-			if disjoint(candidate, s) {
-				defeated = true
-			}
-		}
-		if defeated {
-			continue
-		}
-
-		start = time.Now()
-		resists, inconclusive, err := r.verifyAndHarvest(ctx, w, selection, candidate)
-		w.verifyTime += time.Since(start)
-		if err != nil {
-			return false, err
-		}
-		if inconclusive != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return false, r.exhaustedFor(w, cerr)
-			}
-			return false, r.exhaustedFor(w, inconclusive)
-		}
-		if resists {
-			if r.claimWin(w, candidate) {
-				return true, nil
-			}
-			// Raced: another worker published first; stop quietly.
-			return false, r.exhaustedFor(w, context.Canceled)
-		}
-	}
-}
-
-// verifyAndHarvest verifies one candidate against every attack model and, on
-// a counterexample, harvests up to harvestDepth disjoint-support attacks from
-// the same verification scope: each witness's support is secured in-scope and
-// the model re-checked, so consecutive witnesses cannot reuse an already-seen
-// support. Every support is published to the shared pool and asserted as a
-// blocking clause locally. A harvested Unsat only means the candidate PLUS
-// the harvested supports resist — it never upgrades the candidate itself.
-func (r *cubeRun) verifyAndHarvest(ctx context.Context, w *cubeWorker, selection *selectionModel, candidate []int) (resists bool, inconclusive error, err error) {
-	candCtx, cancelCand := r.req.Limits.candidateContext(ctx)
-	defer cancelCand()
-	for ai, attack := range w.attacks {
-		if screeningOn(r.req) {
-			verdict, support := screenCandidate(candCtx, w.scens[ai], candidate)
-			if verdict == screen.Infeasible {
-				continue // relaxation-certified resistance: skip the SMT model
-			}
-			if verdict == screen.FeasibleIntegral {
-				// Definitively defeated; the witness support blocks locally
-				// and publishes to every cube. No harvesting — deeper
-				// witnesses need the SMT scope this path exists to avoid.
-				if len(support) == 0 {
-					selection.blockBySubset(candidate)
-				} else {
-					selection.blockByAttack(support)
-					r.pool.publish(support)
-				}
-				return false, nil, nil
-			}
-		}
-		attack.Solver().Push()
-		if err := attack.AssertBusesSecured(candidate); err != nil {
-			return false, nil, err
-		}
-		res, err := r.pol.verifyCandidate(candCtx, attack)
-		if err != nil {
-			attack.Solver().Pop()
-			return false, nil, fmt.Errorf("synth: candidate verification: %w", err)
-		}
-		w.verifyStats = res.Stats
-		if res.Inconclusive {
-			if popErr := attack.Solver().Pop(); popErr != nil {
-				return false, nil, popErr
-			}
-			return false, res.Why, nil
-		}
-		if !res.Feasible {
-			if popErr := attack.Solver().Pop(); popErr != nil {
-				return false, nil, popErr
-			}
-			continue
-		}
-
-		// Counterexample: block, publish, and harvest deeper witnesses.
-		support := res.CompromisedBuses
-		if len(support) == 0 {
-			selection.blockBySubset(candidate)
-		} else {
-			selection.blockByAttack(support)
-			r.pool.publish(support)
-		}
-		for h := 1; h < harvestDepth && len(support) > 0; h++ {
-			if candCtx.Err() != nil {
-				break
-			}
-			if err := attack.AssertBusesSecured(support); err != nil {
-				attack.Solver().Pop()
-				return false, nil, err
-			}
-			res, err = r.pol.verifyCandidate(candCtx, attack)
-			if err != nil {
-				attack.Solver().Pop()
-				return false, nil, fmt.Errorf("synth: harvest verification: %w", err)
-			}
-			if res.Inconclusive || !res.Feasible || len(res.CompromisedBuses) == 0 {
-				break
-			}
-			support = res.CompromisedBuses
-			selection.blockByAttack(support)
-			r.pool.publish(support)
-		}
-		if popErr := attack.Solver().Pop(); popErr != nil {
-			return false, nil, popErr
-		}
-		return false, nil, nil
-	}
-	return true, nil, nil
 }

@@ -2,12 +2,9 @@ package synth
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"time"
 
 	"segrid/internal/core"
-	"segrid/internal/proof"
 	"segrid/internal/smt"
 )
 
@@ -74,104 +71,6 @@ func (a *MeasurementArchitecture) Duration() time.Duration {
 	return a.SelectTime + a.VerifyTime
 }
 
-// measurementSelection is the candidate model over individual taken
-// measurements.
-type measurementSelection struct {
-	solver  *smt.Solver
-	sm      map[int]smt.BoolVar // taken measurement ID → selector
-	ids     []int               // taken measurement IDs, ascending
-	blocked [][]smt.Formula
-}
-
-func newMeasurementSelection(req *MeasurementRequirements) (*measurementSelection, error) {
-	sc := req.Attack
-	sys := sc.System()
-	opts := smt.DefaultOptions()
-	if req.Options != nil {
-		opts = *req.Options
-	}
-	m := &measurementSelection{
-		solver: smt.NewSolver(opts),
-		sm:     make(map[int]smt.BoolVar),
-	}
-	for id := 1; id <= sys.NumMeasurements(); id++ {
-		if !sc.Meas.Taken[id] {
-			continue // securing an untaken measurement protects nothing
-		}
-		m.sm[id] = m.solver.BoolVar(fmt.Sprintf("sm_%d", id))
-		m.ids = append(m.ids, id)
-	}
-	fs := make([]smt.Formula, 0, len(m.ids))
-	for _, id := range m.ids {
-		fs = append(fs, smt.B(m.sm[id]))
-	}
-	m.solver.AssertAtMostK(fs, req.MaxSecuredMeasurements)
-	for _, id := range req.ExcludedMeasurements {
-		v, ok := m.sm[id]
-		if !ok {
-			return nil, fmt.Errorf("synth: excluded measurement %d is not taken", id)
-		}
-		m.solver.Assert(smt.Not(smt.B(v)))
-	}
-	for _, id := range req.RequiredMeasurements {
-		v, ok := m.sm[id]
-		if !ok {
-			return nil, fmt.Errorf("synth: required measurement %d is not taken", id)
-		}
-		m.solver.Assert(smt.B(v))
-	}
-	return m, nil
-}
-
-func (m *measurementSelection) next(ctx context.Context) ([]int, smt.Status, error, error) {
-	res, err := m.solver.CheckContext(ctx)
-	if err != nil {
-		return nil, smt.Unknown, nil, fmt.Errorf("synth: measurement candidate selection: %w", err)
-	}
-	if res.Status != smt.Sat {
-		return nil, res.Status, res.Why, nil
-	}
-	var out []int
-	for _, id := range m.ids {
-		if res.Bool(m.sm[id]) {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out, smt.Sat, nil, nil
-}
-
-// blockByAttack learns the hitting-set constraint from a witness attack:
-// any candidate securing none of the altered measurements admits the same
-// attack.
-func (m *measurementSelection) blockByAttack(altered []int) {
-	fs := make([]smt.Formula, 0, len(altered))
-	for _, id := range altered {
-		if v, ok := m.sm[id]; ok {
-			fs = append(fs, smt.B(v))
-		}
-	}
-	m.blocked = append(m.blocked, fs)
-	m.solver.Assert(smt.Or(fs...))
-}
-
-// blockBySubset removes a failed candidate and its subsets (fallback when
-// no witness support is available).
-func (m *measurementSelection) blockBySubset(failed []int) {
-	in := make(map[int]bool, len(failed))
-	for _, id := range failed {
-		in[id] = true
-	}
-	fs := make([]smt.Formula, 0, len(m.ids))
-	for _, id := range m.ids {
-		if !in[id] {
-			fs = append(fs, smt.B(m.sm[id]))
-		}
-	}
-	m.blocked = append(m.blocked, fs)
-	m.solver.Assert(smt.Or(fs...))
-}
-
 // SynthesizeMeasurements runs Algorithm 1 at measurement granularity. It
 // is SynthesizeMeasurementsContext with a background context.
 func SynthesizeMeasurements(req *MeasurementRequirements) (*MeasurementArchitecture, error) {
@@ -179,120 +78,56 @@ func SynthesizeMeasurements(req *MeasurementRequirements) (*MeasurementArchitect
 }
 
 // SynthesizeMeasurementsContext runs measurement-granular synthesis under
-// ctx and the requirements' Limits, with the same graceful-degradation
-// contract as SynthesizeContext: *BudgetExhaustedError on give-up,
-// ErrNoArchitecture only on a proof of impossibility.
-func SynthesizeMeasurementsContext(ctx context.Context, req *MeasurementRequirements) (res *MeasurementArchitecture, err error) {
-	if req.Attack == nil {
-		return nil, fmt.Errorf("synth: requirements carry no attack scenario")
+// ctx and the requirements' Limits, with the same contract as
+// SynthesizeContext: *BudgetExhaustedError on give-up, ErrNoArchitecture
+// only on a proof of impossibility, ErrInvalidRequirements on malformed
+// requirements.
+func SynthesizeMeasurementsContext(ctx context.Context, req *MeasurementRequirements) (*MeasurementArchitecture, error) {
+	j := measurementJob(req)
+	if err := j.validate(); err != nil {
+		return nil, err
 	}
-	if req.MaxSecuredMeasurements < 1 {
-		return nil, fmt.Errorf("synth: MaxSecuredMeasurements must be positive, got %d", req.MaxSecuredMeasurements)
-	}
-	ctx, cancelRun := req.Limits.runContext(ctx)
-	defer cancelRun()
-	pol := req.Limits.policy()
-
-	scenarios := append([]*core.Scenario{req.Attack}, req.ExtraAttacks...)
-	var proofFiles []string
-	if req.ProofDir != "" {
-		var writers []*proof.Writer
-		scenarios, writers, proofFiles, err = withProofWriters(req.ProofDir, req.ProofTag, scenarios)
-		if err != nil {
-			return nil, err
-		}
-		defer closeProofWriters(writers, &err)
-	}
-	attacks := make([]*core.Model, 0, len(scenarios))
-	for _, sc := range scenarios {
-		m, err := core.NewModel(sc)
-		if err != nil {
-			return nil, fmt.Errorf("synth: attack model: %w", err)
-		}
-		attacks = append(attacks, m)
-	}
-	selection, err := newMeasurementSelection(req)
+	ids, w, err := j.runSequential(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return &MeasurementArchitecture{
+		SecuredMeasurements: ids,
+		Iterations:          int(w.iters.Load()),
+		SelectTime:          w.selectTime,
+		VerifyTime:          w.verifyTime,
+		ProofFiles:          w.paths,
+	}, nil
+}
 
-	arch := &MeasurementArchitecture{ProofFiles: proofFiles}
-	var best []int
-	exhausted := func(reason error) error {
-		return &BudgetExhaustedError{
-			BestCandidate: best,
-			Iterations:    arch.Iterations,
-			SelectTime:    arch.SelectTime,
-			VerifyTime:    arch.VerifyTime,
-			Reason:        reason,
+// measurementJob is synthesis over the measurement space: every taken
+// measurement is selectable, with no extra clauses and no screen. The
+// search keeps saved phases and has no full-budget phase; DESIGN.md §3 gives
+// the measurements behind both choices.
+func measurementJob(req *MeasurementRequirements) *job {
+	j := &job{
+		space: space{
+			kind:    "measurement",
+			secure:  (*core.Model).AssertMeasurementsSecured,
+			support: func(r *core.Result) []int { return r.AlteredMeasurements },
+		},
+		scenarios:     append([]*core.Scenario{req.Attack}, req.ExtraAttacks...),
+		budget:        req.MaxSecuredMeasurements,
+		excluded:      req.ExcludedMeasurements,
+		required:      req.RequiredMeasurements,
+		maxIterations: req.MaxIterations,
+		limits:        req.Limits,
+		options:       req.Options,
+		proofDir:      req.ProofDir,
+		proofTag:      req.ProofTag,
+	}
+	if req.Attack == nil || req.Attack.Meas == nil {
+		return j // validate reports it
+	}
+	for id := 1; id <= req.Attack.System().NumMeasurements(); id++ {
+		if req.Attack.Meas.Taken[id] {
+			j.ids = append(j.ids, id)
 		}
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, exhausted(err)
-		}
-		if req.MaxIterations > 0 && arch.Iterations >= req.MaxIterations {
-			return nil, exhausted(fmt.Errorf("%d iterations reached: %w", req.MaxIterations, ErrBudgetExhausted))
-		}
-		start := time.Now()
-		candidate, selStatus, selWhy, err := selection.next(ctx)
-		arch.SelectTime += time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		if selStatus == smt.Unknown {
-			return nil, exhausted(selWhy)
-		}
-		if selStatus != smt.Sat {
-			return nil, ErrNoArchitecture
-		}
-		arch.Iterations++
-		best = candidate
-
-		start = time.Now()
-		candCtx, cancelCand := req.Limits.candidateContext(ctx)
-		resists := true
-		var inconclusive error
-		for _, attack := range attacks {
-			attack.Solver().Push()
-			if err := attack.AssertMeasurementsSecured(candidate); err != nil {
-				cancelCand()
-				return nil, err
-			}
-			res, err := pol.verifyCandidate(candCtx, attack)
-			if popErr := attack.Solver().Pop(); popErr != nil {
-				cancelCand()
-				return nil, popErr
-			}
-			if err != nil {
-				cancelCand()
-				return nil, fmt.Errorf("synth: measurement candidate verification: %w", err)
-			}
-			if res.Inconclusive {
-				inconclusive = res.Why
-				break
-			}
-			if res.Feasible {
-				resists = false
-				if len(res.AlteredMeasurements) > 0 {
-					selection.blockByAttack(res.AlteredMeasurements)
-				} else {
-					selection.blockBySubset(candidate)
-				}
-				break
-			}
-		}
-		cancelCand()
-		arch.VerifyTime += time.Since(start)
-		if inconclusive != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, exhausted(err)
-			}
-			return nil, exhausted(inconclusive)
-		}
-		if resists {
-			arch.SecuredMeasurements = candidate
-			return arch, nil
-		}
-	}
+	return j
 }
