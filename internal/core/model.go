@@ -3,20 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/big"
 
 	"segrid/internal/grid"
 	"segrid/internal/lpbuild"
 	"segrid/internal/smt"
 )
-
-// ratFromAdmittance converts a line admittance to an exact small rational;
-// see lpbuild.AdmittanceRat, which is shared with the LP screening tier so
-// that both models reason about identical rational admittances.
-func ratFromAdmittance(y float64) *big.Rat {
-	return lpbuild.AdmittanceRat(y)
-}
 
 // Model is the UFDI attack verification model built over the SMT solver.
 // It exposes the solver's Push/Pop so the countermeasure synthesis loop
@@ -115,17 +107,6 @@ func NewModelContext(ctx context.Context, sc *Scenario) (*Model, error) {
 // Solver exposes the underlying SMT solver (for Push/Pop layering).
 func (m *Model) Solver() *smt.Solver { return m.solver }
 
-// minChangeEps is the exact rational MinChange threshold (nil when the
-// extension is off). Rounded toward a small exact rational; the magnitude
-// threshold does not need to be bit-exact with the float input, but the
-// full model and the LP screen must agree on it, so both go through here.
-func minChangeEps(minChange float64) *big.Rat {
-	if minChange <= 0 {
-		return nil
-	}
-	return big.NewRat(int64(math.Round(minChange*1e9)), 1_000_000_000)
-}
-
 // thetaExpr returns a fresh expression coeff·Δθ_bus, empty for the
 // reference bus (whose angle change is identically 0).
 func (m *Model) addTheta(e *smt.LinExpr, coeff *big.Rat, bus int) {
@@ -169,7 +150,7 @@ func (m *Model) buildLines() {
 	sys := m.sc.System()
 	for _, ln := range sys.Lines {
 		i := ln.ID
-		y := ratFromAdmittance(ln.Admittance)
+		y := lpbuild.AdmittanceRat(ln.Admittance)
 		excl := m.sc.canExclude(i)
 		incl := m.sc.canInclude(i)
 

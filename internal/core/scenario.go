@@ -9,6 +9,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 
 	"segrid/internal/grid"
 	"segrid/internal/smt"
@@ -140,6 +142,46 @@ func (sc *Scenario) canInclude(id int) bool {
 	return sc.AllowInclusion && !sc.inService(id) && !sc.statusSecured(id)
 }
 
+// statusAttackable reports whether line id's status can actually be
+// poisoned: an admissible exclusion or inclusion that strict knowledge does
+// not rule out (the SMT model forces el/il false on unknown lines).
+func (sc *Scenario) statusAttackable(id int) bool {
+	return (sc.canExclude(id) || sc.canInclude(id)) && (!sc.StrictKnowledge || sc.knows(id))
+}
+
+// alterable reports whether the attacker may change measurement id: it is
+// taken, accessible and unsecured (Eq. 19), and not the flow of a line
+// whose admittance the attacker does not know (Eq. 17). The delta of every
+// other taken measurement is pinned to zero.
+func (sc *Scenario) alterable(id int) bool {
+	m := sc.Meas
+	if !m.Taken[id] || !m.Accessible[id] || m.Secured[id] {
+		return false
+	}
+	kind, ref, err := sc.System().DecodeMeas(id)
+	return err == nil && (kind == grid.MeasInjection || sc.knows(ref))
+}
+
+// MinChange is quantized to minChangeQuantum (see minChangeEps). A positive
+// value below the quantum would round to ε = 0 and one above maxMinChange
+// would overflow the int64 numerator; either way the threshold would
+// silently vanish, so Validate rejects both.
+const (
+	minChangeQuantum = 1e-9
+	maxMinChange     = 1e9
+)
+
+// minChangeEps is the exact rational MinChange threshold (nil when the
+// extension is off), rounded to minChangeQuantum. The threshold does not
+// need to be bit-exact with the float input, but both lowerings and the
+// exact evaluator must agree on it, so all of them go through here.
+func minChangeEps(minChange float64) *big.Rat {
+	if minChange <= 0 {
+		return nil
+	}
+	return big.NewRat(int64(math.Round(minChange*1e9)), 1_000_000_000)
+}
+
 // Validate checks scenario consistency. NewModel and the screening entry
 // points run it before encoding; planners run it to reject a malformed
 // scenario before scheduling any work.
@@ -194,8 +236,12 @@ func (sc *Scenario) Validate() error {
 	if sc.AnyState && len(sc.TargetStates) > 0 {
 		return fmt.Errorf("core: AnyState and TargetStates are mutually exclusive")
 	}
-	if sc.MinChange < 0 {
+	if !(sc.MinChange >= 0) {
 		return fmt.Errorf("core: MinChange must be non-negative, got %v", sc.MinChange)
+	}
+	if sc.MinChange > 0 && (sc.MinChange < minChangeQuantum || sc.MinChange > maxMinChange) {
+		return fmt.Errorf("core: MinChange %v outside [%g, %g]: the threshold is exact only to %g",
+			sc.MinChange, minChangeQuantum, maxMinChange, minChangeQuantum)
 	}
 	return nil
 }

@@ -1,12 +1,12 @@
 // Package lpbuild holds the small LP-construction helpers shared by the
 // exact-rational linear programs in this repository: the DC-OPF dispatch
-// optimizer (internal/dcopf) and the LP-relaxation screening tier
-// (internal/screen). Both build on the internal/lra simplex and need the
-// same float→rational quantization, bounded-variable idioms and
-// line/bus-flow row shapes; keeping one copy here keeps the two models'
-// arithmetic identical — which matters for the screen, whose soundness
-// contract depends on using exactly the same admittance rationalization as
-// the full SMT model in internal/core.
+// optimizer (internal/dcopf) and the UFDI model's LP relaxation, the
+// screening tier (internal/core). Both build on the internal/lra simplex
+// and need the same float→rational quantization, bounded-variable idioms
+// and line/bus-flow row shapes; keeping one copy here keeps their
+// arithmetic identical. AdmittanceRat is also what the UFDI model's SMT
+// encoding and exact evaluator use, which the screen's soundness contract
+// depends on.
 package lpbuild
 
 import (
@@ -35,9 +35,10 @@ func copysign(h, f float64) float64 {
 // AdmittanceRat converts a line admittance to an exact small rational by
 // rounding to four decimals. The paper's data has at most two decimals, so
 // embedded cases round-trip exactly; keeping denominators small keeps the
-// exact simplex arithmetic fast. internal/core and internal/screen MUST
-// share this function: the screen's definitive verdicts transfer to the
-// full model only when both talk about the same rational admittances.
+// exact simplex arithmetic fast. Both lowerings of the UFDI model in
+// internal/core and its exact evaluator MUST share this function: the
+// screen's definitive verdicts transfer to the full model only when both
+// talk about the same rational admittances.
 func AdmittanceRat(y float64) *big.Rat {
 	return big.NewRat(int64(math.Round(y*1e4)), 10000)
 }

@@ -3,12 +3,15 @@ package screen_test
 // Differential soundness suite: the screen's contract is that a definitive
 // verdict (Infeasible / FeasibleIntegral) always matches what the full SMT
 // model decides. These tests throw randomized (grid, goal, resource-bound)
-// triples at both tiers and fail on any disagreement. They live in an
-// external test package because internal/core imports internal/screen.
+// triples at both tiers and fail on any disagreement, and run every
+// feasible witness of either tier through core's exact evaluator. They
+// live in an external test package because internal/core imports
+// internal/screen.
 
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -93,6 +96,39 @@ func scenarioLabel(sc *core.Scenario) string {
 		sc.StrictKnowledge, sc.MinChange)
 }
 
+// checkWitness runs a feasible result through core's exact evaluator, and
+// checks that the evaluator is not vacuous on it: the same result with one
+// altered measurement dropped from its report, or with a target's Δθ
+// zeroed, must be rejected. It returns how many such tamperings it tried.
+func checkWitness(t *testing.T, sc *core.Scenario, res *core.Result, what string) int {
+	t.Helper()
+	if _, err := core.ExactMeasurementDeltas(sc, res); err != nil {
+		t.Fatalf("%s fails the exact evaluator: %v", what, err)
+	}
+	tampered := 0
+	if n := len(res.AlteredMeasurements); n > 0 {
+		r := *res
+		r.AlteredMeasurements = res.AlteredMeasurements[:n-1]
+		if _, err := core.ExactMeasurementDeltas(sc, &r); err == nil {
+			t.Fatalf("%s: evaluator accepts it with altered measurement %d unreported", what, res.AlteredMeasurements[n-1])
+		}
+		tampered++
+	}
+	if len(sc.TargetStates) > 0 {
+		r := *res
+		r.StateChanges = make(map[int]*big.Rat, len(res.StateChanges))
+		for j, d := range res.StateChanges {
+			r.StateChanges[j] = d
+		}
+		delete(r.StateChanges, sc.TargetStates[0])
+		if _, err := core.ExactMeasurementDeltas(sc, &r); err == nil {
+			t.Fatalf("%s: evaluator accepts it with target %d's change zeroed", what, sc.TargetStates[0])
+		}
+		tampered++
+	}
+	return tampered
+}
+
 func runDifferential(t *testing.T, name string, rounds int, seed int64) {
 	t.Helper()
 	sys, err := grid.Case(name)
@@ -101,17 +137,13 @@ func runDifferential(t *testing.T, name string, rounds int, seed int64) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
-	definitive := 0
+	definitive, witnesses, tampered := 0, 0, 0
 	for n := 0; n < rounds; n++ {
 		sc := randomScenario(rng, sys)
 		res, err := core.ScreenScenario(ctx, sc, screen.Options{})
 		if err != nil {
 			t.Fatalf("%s round %d: screen: %v (%s)", name, n, err, scenarioLabel(sc))
 		}
-		if !res.Verdict.Definitive() {
-			continue
-		}
-		definitive++
 		full, err := core.Verify(sc)
 		if err != nil {
 			t.Fatalf("%s round %d: verify: %v (%s)", name, n, err, scenarioLabel(sc))
@@ -119,6 +151,14 @@ func runDifferential(t *testing.T, name string, rounds int, seed int64) {
 		if full.Inconclusive {
 			t.Fatalf("%s round %d: full model inconclusive: %v (%s)", name, n, full.Why, scenarioLabel(sc))
 		}
+		if full.Feasible {
+			witnesses++
+			tampered += checkWitness(t, sc, full, fmt.Sprintf("%s round %d: SMT witness (%s)", name, n, scenarioLabel(sc)))
+		}
+		if !res.Verdict.Definitive() {
+			continue
+		}
+		definitive++
 		if want := res.Verdict == screen.FeasibleIntegral; full.Feasible != want {
 			t.Fatalf("%s round %d: screen says %v but full model says feasible=%v (%s)",
 				name, n, res.Verdict, full.Feasible, scenarioLabel(sc))
@@ -133,14 +173,21 @@ func runDifferential(t *testing.T, name string, rounds int, seed int64) {
 				}
 			}
 		}
-		if res.Verdict == screen.FeasibleIntegral && res.Attack == nil {
-			t.Fatalf("%s round %d: accept without witness (%s)", name, n, scenarioLabel(sc))
+		if res.Verdict == screen.FeasibleIntegral {
+			if res.Attack == nil {
+				t.Fatalf("%s round %d: accept without witness (%s)", name, n, scenarioLabel(sc))
+			}
+			witnesses++
+			tampered += checkWitness(t, sc, core.ResultFromScreen(res), fmt.Sprintf("%s round %d: screen witness (%s)", name, n, scenarioLabel(sc)))
 		}
 	}
 	if definitive == 0 {
 		t.Fatalf("%s: no definitive verdict in %d rounds — the screen is useless here", name, rounds)
 	}
-	t.Logf("%s: %d/%d rounds definitive", name, definitive, rounds)
+	if tampered == 0 {
+		t.Fatalf("%s: no witness could be tampered with — the evaluator check is vacuous", name)
+	}
+	t.Logf("%s: %d/%d rounds definitive, %d witnesses evaluated, %d tamperings rejected", name, definitive, rounds, witnesses, tampered)
 }
 
 func TestDifferentialIEEE14(t *testing.T) { runDifferential(t, "ieee14", 120, 1401) }

@@ -1,46 +1,24 @@
-// Package screen is the LP-relaxation screening tier in front of the full
-// UFDI SMT model: a continuous relaxation of the attack-feasibility
-// constraint system, solved on the exact rational simplex
-// (internal/lra), that classifies many (grid, goal, resource-bound)
-// instances definitively in a fraction of a full SMT solve — the
-// scalable-optimization direction of Chu, Zhang, Kosut & Sankar
-// (arXiv:1605.06557) grafted onto this repository's exact pipeline.
+// Package screen is the vocabulary of the LP-relaxation screening tier in
+// front of the full UFDI SMT model: the three-valued Verdict, the run
+// Options and Stats, the Attack witness, and the rational Farkas
+// Certificate with its checker. The relaxation itself — a continuous
+// relaxation of the attack-feasibility constraint system solved on the
+// exact rational simplex, after Chu, Zhang, Kosut & Sankar
+// (arXiv:1605.06557) — is the second lowering of a core.Scenario and lives
+// in internal/core (core.ScreenScenario) next to the SMT encoding. Keeping
+// Certificate.Verify here keeps the checker independent of the code that
+// produces certificates.
 //
-// The relaxation keeps only constraints that are implied for every
-// concrete attack after normalization: the DC measurement-consistency
-// structure (flow and injection deltas as linear functions of the state
-// deltas, with topology-attackable lines' flows decoupled as free
-// variables), hard zero-forcing of deltas the attacker cannot touch
-// (secured, inaccessible or unknown-admittance measurements that are
-// taken), and the cardinality budgets relaxed to continuous sums: each
-// alteration indicator cz becomes a [0,1] variable dominating its
-// measurement's |delta|, each bus-compromise indicator cb a [0,1] variable
-// dominating its measurements' cz. This is sound because the constraint
-// system minus the goal is a cone — any attack scales down until every
-// measurement delta has magnitude ≤ 1, at which point |delta| itself is a
-// valid fractional indicator — so the relaxed polytope contains a scaled
-// image of every true attack.
-//
-// Goals (Δθ ≠ 0 disequalities) are handled by strict sign probes: the
-// relaxation is checked against goal > 0 and goal < 0 separately. Both
-// infeasible means the relaxation forces the goal expression to zero, so
-// the full model is UNSAT — a definitive fast-reject carrying rational
-// Farkas certificates checkable without the solver. If every goal has a
-// feasible sign, a combined solution is extracted, sparsified and replayed
-// exactly against the full model's semantics (integral cardinality counts,
-// topology-attack consistency, MinChange rescaling); a clean replay is a
-// definitive fast-accept with the concrete attack vector. Anything else —
-// fractional optimum, replay failure, budget or cancellation — degrades to
+// A definitive verdict is certified: Infeasible carries Farkas
+// certificates checkable without the solver, FeasibleIntegral a concrete
+// attack the model's exact evaluator has accepted. Anything else —
+// fractional optimum, replay failure, budget or cancellation — is
 // Inconclusive: the screen never returns a silent wrong answer.
 package screen
 
 import (
-	"context"
-	"fmt"
 	"math/big"
 	"time"
-
-	"segrid/internal/grid"
 )
 
 // Verdict is the screen's three-valued answer.
@@ -73,44 +51,6 @@ func (v Verdict) String() string {
 // Definitive reports whether the verdict answers the instance without the
 // SMT tier.
 func (v Verdict) Definitive() bool { return v != Inconclusive }
-
-// Problem is the screen's view of a UFDI verification instance. It is
-// deliberately independent of internal/core (which imports this package):
-// core converts a Scenario into a Problem, pre-resolving the per-line
-// attackability rules so the screen never re-derives scenario policy.
-// All slices are 1-based (index 0 unused); measurement tables span
-// Sys.NumMeasurements(), line tables Sys.NumLines().
-type Problem struct {
-	Sys    *grid.System
-	RefBus int
-
-	// Measurement configuration.
-	Taken, Secured, Accessible []bool
-
-	// Line attack policy: Known is the attacker's admittance knowledge,
-	// InService the base topology, CanExclude/CanInclude the resolved
-	// admissibility of status-exclusion/-inclusion attacks (mutually
-	// exclusive per line).
-	Known, InService       []bool
-	CanExclude, CanInclude []bool
-	StrictKnowledge        bool
-
-	// Resource budgets; 0 means unlimited.
-	MaxAltered, MaxBuses int
-
-	// Attack goal.
-	Targets       []int
-	OnlyTargets   bool
-	Untouched     []int
-	AnyState      bool
-	DistinctPairs [][2]int
-
-	// MinChangeEps is the exact significance threshold ε of the MinChange
-	// extension (nil when off). With it set, "state not attacked" means
-	// |Δθ| < ε rather than Δθ = 0, so the relaxation must not zero-force
-	// non-target states; the witness replay rescales instead.
-	MinChangeEps *big.Rat
-}
 
 // DefaultMaxPivots is the pivot budget the repository's screening
 // consumers (service, synthesis, CLIs) use: enough for any instance the
@@ -163,79 +103,4 @@ type Result struct {
 	// Attack is the replayed witness when Verdict is FeasibleIntegral.
 	Attack *Attack
 	Stats  Stats
-}
-
-// Check screens one instance. It returns an error only for malformed
-// problems; resource exhaustion, cancellation and fractional optima all
-// return a Result with Verdict Inconclusive instead — mirroring the SMT
-// tier's Unknown-not-error contract.
-func Check(ctx context.Context, p *Problem, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	b, err := build(p, ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := b.run()
-	st := b.s.Statistics()
-	res.Stats.Vars = st.Vars
-	res.Stats.Rows = st.Rows
-	res.Stats.Pivots = st.Pivots
-	res.Stats.Probes = b.probes
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
-}
-
-func (p *Problem) validate() error {
-	if p.Sys == nil {
-		return fmt.Errorf("screen: problem has no system")
-	}
-	sys := p.Sys
-	if p.RefBus < 1 || p.RefBus > sys.Buses {
-		return fmt.Errorf("screen: reference bus %d out of range 1..%d", p.RefBus, sys.Buses)
-	}
-	nm, nl := sys.NumMeasurements()+1, sys.NumLines()+1
-	for _, tb := range []struct {
-		name string
-		s    []bool
-		want int
-	}{
-		{"taken", p.Taken, nm}, {"secured", p.Secured, nm}, {"accessible", p.Accessible, nm},
-		{"known", p.Known, nl}, {"inService", p.InService, nl},
-		{"canExclude", p.CanExclude, nl}, {"canInclude", p.CanInclude, nl},
-	} {
-		if len(tb.s) != tb.want {
-			return fmt.Errorf("screen: %s table has length %d, want %d", tb.name, len(tb.s), tb.want)
-		}
-	}
-	for i := 1; i < nl; i++ {
-		if p.CanExclude[i] && p.CanInclude[i] {
-			return fmt.Errorf("screen: line %d both excludable and includable", i)
-		}
-	}
-	inRange := func(kind string, buses []int) error {
-		for _, j := range buses {
-			if j < 1 || j > sys.Buses {
-				return fmt.Errorf("screen: %s bus %d out of range 1..%d", kind, j, sys.Buses)
-			}
-		}
-		return nil
-	}
-	if err := inRange("target", p.Targets); err != nil {
-		return err
-	}
-	if err := inRange("untouched", p.Untouched); err != nil {
-		return err
-	}
-	for _, pr := range p.DistinctPairs {
-		if err := inRange("distinct-pair", pr[:]); err != nil {
-			return err
-		}
-	}
-	if p.MaxAltered < 0 || p.MaxBuses < 0 {
-		return fmt.Errorf("screen: negative resource bound")
-	}
-	return nil
 }

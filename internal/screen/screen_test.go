@@ -243,12 +243,16 @@ func TestFaultScheduleSweep(t *testing.T) {
 	}
 }
 
-func TestMalformedProblemErrors(t *testing.T) {
-	sys := ieee14(t)
-	if _, err := screen.Check(context.Background(), &screen.Problem{Sys: sys, RefBus: 99}, screen.Options{}); err == nil {
+// TestMalformedScenarioErrors checks that the screen only ever sees a
+// scenario that passed Scenario.Validate: a malformed one is an error,
+// never a verdict.
+func TestMalformedScenarioErrors(t *testing.T) {
+	sc := core.NewScenario(ieee14(t))
+	sc.RefBus = 99
+	if _, err := core.ScreenScenario(context.Background(), sc, screen.Options{}); err == nil {
 		t.Fatal("bad reference bus accepted")
 	}
-	if _, err := screen.Check(context.Background(), &screen.Problem{Sys: sys, RefBus: 1}, screen.Options{}); err == nil {
-		t.Fatal("missing measurement tables accepted")
+	if _, err := core.ScreenScenario(context.Background(), &core.Scenario{RefBus: 1}, screen.Options{}); err == nil {
+		t.Fatal("missing measurement configuration accepted")
 	}
 }

@@ -157,6 +157,8 @@ func TestSweepRegrouping(t *testing.T) {
 func TestSweepValidation(t *testing.T) {
 	svc, srv := newTestServer(t, Config{MaxSweepItems: 4})
 	neg := -1
+	tiny := obj2Spec()
+	tiny.MinChange = 1e-10 // below the 1e-9 quantum: would round to no threshold
 	cases := []struct {
 		name string
 		req  SweepRequest
@@ -167,6 +169,7 @@ func TestSweepValidation(t *testing.T) {
 		{"bus out of range", SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{}, {SecuredBuses: []int{99}}}}},
 		{"measurement out of range", SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{}, {SecuredMeasurements: []int{999}}}}},
 		{"target out of range", SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{}, {Targets: []int{99}}}}},
+		{"minChange below quantum", SweepRequest{Attack: tiny, Items: []SweepItem{{}}}},
 	}
 	for _, tc := range cases {
 		resp, raw := post(t, srv, "/v1/sweep", tc.req)
