@@ -1,9 +1,9 @@
 // Command segridd is the long-running attack-analytics service: attack
 // verification, countermeasure synthesis and certificate re-checking as
 // HTTP endpoints over the paper's analysis stack, built for sustained
-// operation — warm encoder pooling, bounded admission with load shedding,
-// per-request deadlines and crash-safe certificate publication (see
-// internal/service).
+// operation — warm encoder pooling, a bounded scheduler queue with load
+// shedding, per-request deadlines and crash-safe certificate publication
+// (see internal/service).
 //
 // Usage:
 //
@@ -13,12 +13,13 @@
 //
 //	-addr host:port   listen address (default 127.0.0.1:8547)
 //	-concurrency n    solver threads draining the shared work-unit queue; all
-//	                  requests' units (verify checks, sweep groups,
-//	                  syntheses) share these workers under
-//	                  deficit-round-robin fairness (default 4)
-//	-queue n          admission queue depth; excess sheds 429 (default 16)
+//	                  requests' units (verify checks and LP screens, sweep
+//	                  groups, syntheses, certificate checks) share these
+//	                  workers under deficit-round-robin fairness (default 4)
+//	-queue n          requests the scheduler holds waiting for their first
+//	                  work unit to start; one more sheds 429 (default 16)
 //	-queue-wait d     max wait for a request's first work unit to start; past
-//	                  it sheds 503 (default 2s)
+//	                  it the scheduler drops the request unrun, 503 (default 2s)
 //	-timeout d        default per-request deadline (default 30s)
 //	-max-timeout d    hard cap on client-requested deadlines (default 2m)
 //	-max-conflicts n  per-check CDCL conflict budget (0 = unlimited)
@@ -90,7 +91,7 @@ func main() {
 	fs := flag.NewFlagSet("segridd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8547", "listen address")
 	concurrency := fs.Int("concurrency", 4, "solver threads draining the shared work-unit queue")
-	queue := fs.Int("queue", 16, "admission queue depth")
+	queue := fs.Int("queue", 16, "requests waiting for their first work unit; one more sheds 429")
 	queueWait := fs.Duration("queue-wait", 2*time.Second, "max wait for a request's first work unit to start")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "cap on client-requested deadlines")

@@ -204,34 +204,20 @@ func (l *Lease[T]) Warm() bool { return l.warm }
 // only when every live item is leased, and propagates Config.New errors
 // (releasing the reserved slot).
 func (p *Pool[T]) Checkout(ctx context.Context, key Key) (*Lease[T], error) {
-	return p.checkout(ctx, key, true)
-}
-
-// CheckoutFresh leases a cold-built item for key, bypassing the warm list —
-// the retry ladder's fallback when a warm encoder produced a result its
-// caller does not trust. Warm items for the key are left for future
-// checkouts; the live bound still applies.
-func (p *Pool[T]) CheckoutFresh(ctx context.Context, key Key) (*Lease[T], error) {
-	return p.checkout(ctx, key, false)
-}
-
-func (p *Pool[T]) checkout(ctx context.Context, key Key, allowWarm bool) (*Lease[T], error) {
 	p.mu.Lock()
-	if allowWarm {
-		if list := p.idle[key]; len(list) > 0 {
-			e := list[len(list)-1] // the key's warmest item
-			list[len(list)-1] = nil
-			p.idle[key] = list[:len(list)-1]
-			if len(list) == 1 {
-				delete(p.idle, key)
-			}
-			p.unlink(e)
-			p.idleCount--
-			p.idleBytes -= e.size
-			p.stats.Hits++
-			p.mu.Unlock()
-			return &Lease[T]{Item: e.item, key: key, warm: true, pool: p}, nil
+	if list := p.idle[key]; len(list) > 0 {
+		e := list[len(list)-1] // the key's warmest item
+		list[len(list)-1] = nil
+		p.idle[key] = list[:len(list)-1]
+		if len(list) == 1 {
+			delete(p.idle, key)
 		}
+		p.unlink(e)
+		p.idleCount--
+		p.idleBytes -= e.size
+		p.stats.Hits++
+		p.mu.Unlock()
+		return &Lease[T]{Item: e.item, key: key, warm: true, pool: p}, nil
 	}
 	var victim *idleEntry[T]
 	if p.live >= p.cfg.MaxLive {

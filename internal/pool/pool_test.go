@@ -332,10 +332,9 @@ func TestPoolBuildFailureStatsNeverSkewed(t *testing.T) {
 	}
 }
 
-// TestPoolTrimAndFresh checks the per-key idle bound evicts the key's LRU
-// item — the freshly returned one stays warm — and CheckoutFresh bypasses a
-// populated warm list.
-func TestPoolTrimAndFresh(t *testing.T) {
+// TestPoolTrim checks the per-key idle bound evicts the key's LRU item — the
+// freshly returned one stays warm.
+func TestPoolTrim(t *testing.T) {
 	p, _ := newTestPool(t, Config[*testItem]{MaxIdlePerKey: 1})
 	ctx := context.Background()
 	l1, _ := p.Checkout(ctx, keyA)
@@ -351,20 +350,13 @@ func TestPoolTrimAndFresh(t *testing.T) {
 	if st.Idle != 1 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want 1 idle + 1 evicted", st)
 	}
-	lf, err := p.CheckoutFresh(ctx, keyA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lf.Warm() || lf.Item == warm || lf.Item == stale {
-		t.Fatalf("CheckoutFresh served a pooled item")
-	}
 	// The surviving warm item is the most recently returned one, not the
-	// evicted LRU, and a regular checkout still finds it.
+	// evicted LRU, and a checkout finds it.
 	lw, err := p.Checkout(ctx, keyA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lw.Warm() || lw.Item != warm {
+	if !lw.Warm() || lw.Item != warm || lw.Item == stale {
 		t.Fatalf("warm checkout got %v, want the most recently returned item %v", lw.Item, warm)
 	}
 }
@@ -449,14 +441,20 @@ func TestPoolByteBudget(t *testing.T) {
 		Size:          func(it *testItem) int64 { return it.size },
 	})
 	ctx := context.Background()
-	var items []*testItem
+	var (
+		items  []*testItem
+		leases []*Lease[*testItem]
+	)
 	for i := 0; i < 4; i++ {
-		l, err := p.CheckoutFresh(ctx, keyA) // distinct cold builds
+		l, err := p.Checkout(ctx, keyA) // distinct cold builds: none returned yet
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.Item.size = 400
 		items = append(items, l.Item)
+		leases = append(leases, l)
+	}
+	for _, l := range leases {
 		if err := l.Return(); err != nil {
 			t.Fatal(err)
 		}
@@ -569,8 +567,10 @@ func TestPoolCloseHookDropPaths(t *testing.T) {
 		t.Fatalf("evicted item closed %d times, want 1", evictee.closed.Load())
 	}
 
-	// Path 2: Reset failure quarantines the returning item.
-	ld, _ := p.CheckoutFresh(ctx, keyA)
+	// Path 2: Reset failure quarantines the returning item. A key with no
+	// warm items gives a cold build and leaves keyA's warm item pooled.
+	coldKey := Key{Topology: "ieee30", Shape: "anystate"}
+	ld, _ := p.Checkout(ctx, coldKey)
 	dirty := ld.Item
 	dirty.dirty = true
 	if err := ld.Return(); err != nil {
@@ -581,7 +581,7 @@ func TestPoolCloseHookDropPaths(t *testing.T) {
 	}
 
 	// Path 3: explicit Discard.
-	lp, _ := p.CheckoutFresh(ctx, keyA)
+	lp, _ := p.Checkout(ctx, coldKey)
 	poisoned := lp.Item
 	if err := lp.Discard(); err != nil {
 		t.Fatal(err)

@@ -346,7 +346,7 @@ func (r *Reader) Next() (*Record, error) {
 			rec.Terms[i] = Term{Var: int(tv), Coeff: c}
 		}
 	case KindAtomDef:
-		v, err := r.uvarint()
+		v, err := r.varIndex()
 		if err != nil {
 			return nil, err
 		}
@@ -354,7 +354,7 @@ func (r *Reader) Next() (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec.Var, rec.Slack = int(v), int(slack)
+		rec.Var, rec.Slack = v, int(slack)
 		if rec.Pos, err = r.delta(); err != nil {
 			return nil, err
 		}

@@ -11,11 +11,15 @@
 //
 // DRR, concretely: active flows (those with queued units) are visited in a
 // round-robin ring. Each visit that cannot serve the flow's head unit earns
-// the flow Quantum×weight deficit credit; a flow whose credit covers its head
-// unit's cost is served and charged. A flow's credit resets when its queue
-// empties, so idle flows accumulate no priority. Every full pass strictly
-// grows each unserved flow's credit, so a pick terminates in at most
-// max-unit-cost passes and no flow starves.
+// the flow weight units of deficit credit; a flow whose credit covers its
+// head unit's cost is served and charged. A flow's credit resets when its
+// queue empties, so idle flows accumulate no priority. Every full pass
+// strictly grows each unserved flow's credit, so a pick terminates in at
+// most max-unit-cost passes and no flow starves.
+//
+// The scheduler is also the admission queue: a flow is waiting from its
+// first Submit until its first unit starts, and Config bounds how many flows
+// may wait and for how long.
 //
 // Units run to completion on a worker; the scheduler never preempts.
 package sched
@@ -23,14 +27,24 @@ package sched
 import (
 	"errors"
 	"sync"
+	"time"
 )
 
 // ErrClosed is returned by Submit after Close: the scheduler is draining and
 // accepts no new units.
 var ErrClosed = errors.New("sched: scheduler closed")
 
-// ErrAborted is returned by Submit on a flow that was Abort()ed.
+// ErrAborted is returned by Submit on a flow that was Abort()ed, and by
+// Wait on a flow whose Abort won.
 var ErrAborted = errors.New("sched: flow aborted")
+
+// ErrQueueFull is returned by a flow's first Submit when MaxQueue flows are
+// already waiting. The flow is not admitted and nothing of it runs.
+var ErrQueueFull = errors.New("sched: queue full")
+
+// ErrQueueWait is returned by Wait on a flow the scheduler aborted because
+// none of its units started within QueueWait.
+var ErrQueueWait = errors.New("sched: no unit started within the queue wait")
 
 // Config parameterizes a Scheduler. The zero value is usable; defaults are
 // applied by New.
@@ -40,10 +54,15 @@ type Config struct {
 	// once.
 	Workers int
 
-	// Quantum is the deficit credit a flow earns per round-robin visit,
-	// multiplied by the flow's weight (default 1). Larger quanta serve
-	// bursts; 1 gives the finest interleaving.
-	Quantum int
+	// MaxQueue bounds the waiting flows: those admitted with no unit
+	// started. A first Submit past it fails with ErrQueueFull. Zero is
+	// unbounded.
+	MaxQueue int
+
+	// QueueWait bounds how long an admitted flow may wait for its first
+	// unit to start; past it the scheduler aborts the flow and Wait reports
+	// ErrQueueWait. Zero waits forever.
+	QueueWait time.Duration
 }
 
 // Stats snapshots scheduler counters and gauges.
@@ -52,10 +71,13 @@ type Stats struct {
 	FlowsOpened uint64
 	// UnitsRun counts units run to completion.
 	UnitsRun uint64
-	// UnitsAborted counts queued units removed by Flow.Abort before running.
+	// UnitsAborted counts queued units removed before running, by
+	// Flow.Abort or by the queue wait.
 	UnitsAborted uint64
-	// Queued and Running are gauges: units waiting in flow queues and units
-	// currently executing.
+	// Waiting, Queued and Running are gauges: flows admitted with no unit
+	// started (what MaxQueue bounds), units waiting in flow queues, and
+	// units currently executing.
+	Waiting int
 	Queued  int
 	Running int
 }
@@ -78,9 +100,10 @@ type Flow struct {
 	deficit  int
 	pending  int // queued + running units
 	inActive bool
+	waiting  bool // admitted, no unit started yet
 	started  bool
-	aborted  bool
-	startCh  chan struct{} // closed when the flow's first unit starts
+	err      error       // why the flow was aborted (nil: not aborted)
+	expiry   *time.Timer // the queue-wait abort, armed while waiting
 }
 
 // Scheduler drains flows' units with a fixed worker set. Construct with New;
@@ -94,19 +117,14 @@ type Scheduler struct {
 	next   int     // ring position of the next visit
 	closed bool
 
-	queued  int
-	running int
-	stats   Stats
-	wg      sync.WaitGroup
+	stats Stats // counters and gauges, all maintained under mu
+	wg    sync.WaitGroup
 }
 
 // New constructs a Scheduler and starts its workers.
 func New(cfg Config) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 1
 	}
 	s := &Scheduler{cfg: cfg}
 	s.cond = sync.NewCond(&s.mu)
@@ -125,7 +143,7 @@ func (s *Scheduler) NewFlow(weight int) *Flow {
 	if weight < 1 {
 		weight = 1
 	}
-	f := &Flow{s: s, weight: weight, startCh: make(chan struct{})}
+	f := &Flow{s: s, weight: weight}
 	s.mu.Lock()
 	s.stats.FlowsOpened++
 	s.mu.Unlock()
@@ -152,15 +170,14 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Queued = s.queued
-	st.Running = s.running
-	return st
+	return s.stats
 }
 
 // Submit enqueues one unit on the flow. Cost expresses the unit's relative
 // size for DRR accounting (values below 1 are clamped to 1); fn runs to
-// completion on a scheduler worker. Submit never blocks on the workers.
+// completion on a scheduler worker. Submit never blocks on the workers. The
+// flow's first Submit admits it: it fails with ErrQueueFull when MaxQueue
+// flows are already waiting, and arms the QueueWait abort otherwise.
 func (f *Flow) Submit(cost int, fn func()) error {
 	if fn == nil {
 		return errors.New("sched: nil unit")
@@ -174,12 +191,26 @@ func (f *Flow) Submit(cost int, fn func()) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if f.aborted {
+	if f.err != nil {
 		return ErrAborted
+	}
+	if !f.waiting && !f.started {
+		if s.cfg.MaxQueue > 0 && s.stats.Waiting >= s.cfg.MaxQueue {
+			return ErrQueueFull
+		}
+		f.waiting = true
+		s.stats.Waiting++
+		if s.cfg.QueueWait > 0 {
+			f.expiry = time.AfterFunc(s.cfg.QueueWait, func() {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				f.abortLocked(ErrQueueWait)
+			})
+		}
 	}
 	f.queue = append(f.queue, unit{cost: cost, fn: fn})
 	f.pending++
-	s.queued++
+	s.stats.Queued++
 	if !f.inActive {
 		f.inActive = true
 		s.active = append(s.active, f)
@@ -188,29 +219,32 @@ func (f *Flow) Submit(cost int, fn func()) error {
 	return nil
 }
 
-// Started returns a channel closed when the flow's first unit begins
-// executing — the admission layer's signal that the request is no longer
-// queued.
-func (f *Flow) Started() <-chan struct{} { return f.startCh }
-
 // Abort cancels the flow if and only if none of its units has started:
 // queued units are removed and the flow refuses further Submits. It reports
 // whether the abort won; false means at least one unit is running or done
-// and the caller must Wait for the flow instead. The admission layer uses
-// this to shed a request that waited out its queue budget without ever
-// reaching a worker.
+// and the caller must Wait for the flow instead. The service uses it to
+// drop a request whose client went away while it was queued.
 func (f *Flow) Abort() bool {
+	f.s.mu.Lock()
+	defer f.s.mu.Unlock()
+	return f.abortLocked(ErrAborted)
+}
+
+// abortLocked is Abort with s.mu held; err is what Wait will report. An
+// already-aborted flow keeps its first cause.
+func (f *Flow) abortLocked(err error) bool {
 	s := f.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if f.started {
 		return false
 	}
-	f.aborted = true
+	if f.err == nil {
+		f.err = err
+	}
+	f.endWaitLocked()
 	n := len(f.queue)
 	f.queue = nil
 	f.pending -= n
-	s.queued -= n
+	s.stats.Queued -= n
 	s.stats.UnitsAborted += uint64(n)
 	if f.inActive {
 		s.removeActiveLocked(f)
@@ -220,16 +254,19 @@ func (f *Flow) Abort() bool {
 }
 
 // Wait blocks until every submitted unit of the flow has finished (or was
-// removed by a winning Abort). It is a passive wait: the calling goroutine
-// does not execute units — request goroutines wait here while scheduler
-// workers do the work, keeping solver concurrency at the worker bound.
-func (f *Flow) Wait() {
+// removed by an abort). It is a passive wait: the calling goroutine does not
+// execute units — request goroutines wait here while scheduler workers do
+// the work, keeping solver concurrency at the worker bound. It returns nil
+// when the units ran, ErrAborted after a winning Abort and ErrQueueWait
+// when no unit started within QueueWait.
+func (f *Flow) Wait() error {
 	s := f.s
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for f.pending > 0 {
 		s.cond.Wait()
 	}
-	s.mu.Unlock()
+	return f.err
 }
 
 // worker is one scheduler goroutine: pick a unit by DRR, run it, repeat.
@@ -257,13 +294,13 @@ func (s *Scheduler) worker() {
 }
 
 // pickLocked selects the next unit by deficit round-robin. Each visit to a
-// flow whose credit cannot cover its head unit earns it Quantum×weight;
+// flow whose credit cannot cover its head unit earns it weight;
 // every full pass strictly grows all unserved credits, so the loop
 // terminates in at most max-head-cost passes. Serving does not advance the
 // ring position: a flow with remaining credit is served again next pick,
 // which is DRR's per-turn burst.
 func (s *Scheduler) pickLocked() (*Flow, unit, bool) {
-	if s.queued == 0 {
+	if s.stats.Queued == 0 {
 		return nil, unit{}, false
 	}
 	for {
@@ -281,7 +318,7 @@ func (s *Scheduler) pickLocked() (*Flow, unit, bool) {
 				}
 				return f, u, true
 			}
-			f.deficit += s.cfg.Quantum * f.weight
+			f.deficit += f.weight
 			s.next++
 		}
 	}
@@ -303,21 +340,32 @@ func (s *Scheduler) removeActiveLocked(f *Flow) {
 	f.deficit = 0
 }
 
-// startLocked transitions one popped unit into running state and signals the
-// flow's first start.
+// startLocked transitions one popped unit into running state; the flow's
+// first start ends its wait.
 func (s *Scheduler) startLocked(f *Flow) {
-	s.queued--
-	s.running++
-	if !f.started {
-		f.started = true
-		close(f.startCh)
+	s.stats.Queued--
+	s.stats.Running++
+	f.started = true
+	f.endWaitLocked()
+}
+
+// endWaitLocked takes a waiting flow out of the Waiting gauge and disarms
+// its queue-wait abort.
+func (f *Flow) endWaitLocked() {
+	if !f.waiting {
+		return
+	}
+	f.waiting = false
+	f.s.stats.Waiting--
+	if f.expiry != nil {
+		f.expiry.Stop()
 	}
 }
 
 // finishLocked retires one completed unit and wakes waiters when the flow
 // settles.
 func (s *Scheduler) finishLocked(f *Flow) {
-	s.running--
+	s.stats.Running--
 	s.stats.UnitsRun++
 	f.pending--
 	if f.pending == 0 {

@@ -18,11 +18,15 @@ type gate struct {
 func openGate(t *testing.T, s *Scheduler) *gate {
 	t.Helper()
 	g := &gate{flow: s.NewFlow(1), release: make(chan struct{})}
-	if err := g.flow.Submit(1, func() { <-g.release }); err != nil {
+	started := make(chan struct{})
+	if err := g.flow.Submit(1, func() {
+		close(started)
+		<-g.release
+	}); err != nil {
 		t.Fatalf("gate submit: %v", err)
 	}
 	select {
-	case <-g.flow.Started():
+	case <-started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("gate unit never started")
 	}
@@ -150,7 +154,9 @@ func TestSchedAbortBeforeStart(t *testing.T) {
 	if err := f.Submit(1, func() {}); err != ErrAborted {
 		t.Fatalf("submit after abort = %v, want ErrAborted", err)
 	}
-	f.Wait() // must return immediately: pending was rolled back
+	if err := f.Wait(); err != ErrAborted { // must return at once: pending was rolled back
+		t.Fatalf("Wait after abort = %v, want ErrAborted", err)
+	}
 	close(g.release)
 	g.flow.Wait()
 	if n := ran.Load(); n != 0 {
@@ -166,16 +172,92 @@ func TestSchedAbortAfterStartLoses(t *testing.T) {
 	defer s.Close()
 
 	f := s.NewFlow(1)
-	release := make(chan struct{})
-	if err := f.Submit(1, func() { <-release }); err != nil {
+	started, release := make(chan struct{}), make(chan struct{})
+	if err := f.Submit(1, func() {
+		close(started)
+		<-release
+	}); err != nil {
 		t.Fatal(err)
 	}
-	<-f.Started()
+	<-started
 	if f.Abort() {
 		t.Fatal("abort after start must lose")
 	}
 	close(release)
-	f.Wait()
+	if err := f.Wait(); err != nil {
+		t.Fatalf("Wait on a flow that ran = %v", err)
+	}
+}
+
+// TestSchedQueueBound fills MaxQueue with waiting flows behind a held
+// worker: the next flow's first Submit is refused, later Submits of an
+// admitted flow are not, and a slot frees as soon as a waiting flow starts.
+func TestSchedQueueBound(t *testing.T) {
+	s := New(Config{Workers: 1, MaxQueue: 2})
+	defer s.Close()
+	g := openGate(t, s)
+
+	a, b, c := s.NewFlow(1), s.NewFlow(1), s.NewFlow(1)
+	for _, f := range []*Flow{a, b} {
+		if err := f.Submit(1, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Submit(1, func() {}); err != nil {
+		t.Fatalf("second submit of an admitted flow = %v", err)
+	}
+	if st := s.Stats(); st.Waiting != 2 || st.Queued != 3 {
+		t.Fatalf("stats = %+v, want 2 waiting flows and 3 queued units", st)
+	}
+	if err := c.Submit(1, func() {}); err != ErrQueueFull {
+		t.Fatalf("submit past MaxQueue = %v, want ErrQueueFull", err)
+	}
+	close(g.release)
+	for _, f := range []*Flow{a, b} {
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Submit(1, func() {}); err != nil {
+		t.Fatalf("submit after the queue drained = %v", err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Waiting != 0 || st.UnitsRun != 5 {
+		t.Fatalf("stats after the drain = %+v, want nothing waiting and 5 units run", st)
+	}
+}
+
+// TestSchedQueueWait checks a flow that waits out QueueWait behind a held
+// worker is aborted before any unit runs, and that a flow started in time
+// is never aborted however long its units take.
+func TestSchedQueueWait(t *testing.T) {
+	s := New(Config{Workers: 1, QueueWait: 20 * time.Millisecond})
+	defer s.Close()
+	g := openGate(t, s)
+
+	ran := atomic.Int32{}
+	f := s.NewFlow(1)
+	for i := 0; i < 2; i++ {
+		if err := f.Submit(1, func() { ran.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Wait(); err != ErrQueueWait {
+		t.Fatalf("Wait past the queue wait = %v, want ErrQueueWait", err)
+	}
+	if err := f.Submit(1, func() {}); err != ErrAborted {
+		t.Fatalf("submit after the queue-wait abort = %v, want ErrAborted", err)
+	}
+	time.Sleep(40 * time.Millisecond) // the gate outlives its own queue wait
+	close(g.release)
+	if err := g.flow.Wait(); err != nil {
+		t.Fatalf("a started flow was aborted: %v", err)
+	}
+	if st := s.Stats(); ran.Load() != 0 || st.UnitsAborted != 2 || st.Waiting != 0 {
+		t.Fatalf("ran %d, stats %+v; want the two units aborted unrun", ran.Load(), st)
+	}
 }
 
 func TestSchedCloseDrainsQueued(t *testing.T) {
@@ -269,4 +351,64 @@ func TestSchedStressExactlyOnce(t *testing.T) {
 	if int64(st.UnitsAborted) > aborted.Load() {
 		t.Fatalf("UnitsAborted %d exceeds winning aborts %d", st.UnitsAborted, aborted.Load())
 	}
+}
+
+// TestSchedStressAdmission races the queue bound and the queue-wait timer
+// against the workers: every admitted flow either runs all of its units or
+// none (Wait says which), refused flows run nothing, and the gauges settle
+// at zero. Run under -race in CI.
+func TestSchedStressAdmission(t *testing.T) {
+	s := New(Config{Workers: 2, MaxQueue: 8, QueueWait: time.Millisecond})
+
+	const flows = 48
+	const unitsPer = 4
+	var submitted, refused, expired atomic.Int64
+	var wg sync.WaitGroup
+	for fi := 0; fi < flows; fi++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := s.NewFlow(1)
+			var ran atomic.Int32
+			n := 0
+			for u := 0; u < unitsPer; u++ {
+				err := f.Submit(1, func() {
+					time.Sleep(100 * time.Microsecond)
+					ran.Add(1)
+				})
+				if err != nil {
+					if u == 0 && err != ErrQueueFull {
+						t.Errorf("first submit = %v, want nil or ErrQueueFull", err)
+					}
+					break
+				}
+				n++
+			}
+			submitted.Add(int64(n))
+			switch err := f.Wait(); {
+			case n == 0:
+				refused.Add(1)
+			case err == ErrQueueWait:
+				expired.Add(1)
+				if ran.Load() != 0 {
+					t.Errorf("expired flow ran %d units", ran.Load())
+				}
+			case err != nil:
+				t.Errorf("Wait = %v", err)
+			case int(ran.Load()) != n:
+				t.Errorf("flow ran %d of %d units", ran.Load(), n)
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+
+	st := s.Stats()
+	if st.Waiting != 0 || st.Queued != 0 || st.Running != 0 {
+		t.Fatalf("gauges nonzero after close: %+v", st)
+	}
+	if got := int64(st.UnitsRun + st.UnitsAborted); got != submitted.Load() {
+		t.Fatalf("UnitsRun+UnitsAborted = %d, want the %d submitted", got, submitted.Load())
+	}
+	t.Logf("%d flows refused, %d expired in the queue", refused.Load(), expired.Load())
 }

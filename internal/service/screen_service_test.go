@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"segrid/internal/faultinject"
 	"segrid/internal/grid"
 	"segrid/internal/scenariofile"
 )
@@ -191,5 +194,68 @@ func TestScreenMatchesUnscreenedObjective2(t *testing.T) {
 	r2 := verifyOn(t, srv, VerifyRequest{Attack: obj2Spec(), SecuredMeasurements: []int{46}})
 	if r2.Status != "infeasible" {
 		t.Fatalf("objective 2 + secured 46 = %+v, want infeasible", r2)
+	}
+}
+
+// TestScreenWaitsForWorker checks the LP screen is scheduled work: with the
+// only worker held by a fault-stalled verify, a screen-decidable verify
+// queues behind it and is not screened until the worker frees. An LP screen
+// can pivot for seconds, so screening on the request goroutine would leave
+// that CPU outside the worker bound.
+func TestScreenWaitsForWorker(t *testing.T) {
+	svc, err := New(Config{
+		MaxConcurrent: 1,
+		QueueWait:     10 * time.Second,
+		Screen:        true,
+		Faults:        faultinject.New(11, faultinject.Config{PStall: 1, MaxAfterPolls: 1, StallFor: 50 * time.Millisecond}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	off := false
+	holdCtx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	holderDone := make(chan struct{})
+	go func() {
+		defer close(holderDone)
+		if _, err := svc.Verify(holdCtx, &VerifyRequest{Attack: obj2Spec(), Screen: &off}); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitFor(t, "the holder to occupy the worker", func() bool { return svc.SchedStats().Running == 1 })
+
+	type answer struct {
+		r   *VerifyResponse
+		err error
+	}
+	screened := make(chan answer, 1)
+	go func() {
+		r, err := svc.Verify(context.Background(), &VerifyRequest{Attack: screenableSpec()})
+		screened <- answer{r, err}
+	}()
+	waitFor(t, "the screen-on verify to queue behind the holder", func() bool { return svc.SchedStats().Queued == 1 })
+	select {
+	case <-holderDone:
+		t.Fatal("the holder finished before the screen-on verify could be observed queued")
+	default:
+	}
+	if n := svc.m.screenCacheMisses.Load() + svc.m.screenCacheHits.Load(); n != 0 {
+		t.Fatalf("%d screens ran while the only worker was held", n)
+	}
+
+	a := <-screened
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	// The holder's check stalls until its deadline, so the worker frees no
+	// earlier than that.
+	if deadline, _ := holdCtx.Deadline(); time.Now().Before(deadline) {
+		t.Fatal("the screen-on verify was answered while the holder still held the worker")
+	}
+	<-holderDone
+	if a.r.Status != "feasible" || !a.r.Screened {
+		t.Fatalf("screen-on verify = %+v, want a screened feasible answer", a.r)
 	}
 }

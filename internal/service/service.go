@@ -11,13 +11,14 @@
 //     a poisoned encoder is never reused.
 //   - Every request decomposes into work units on the shared scheduler
 //     (package sched): a sweep is one unit per encoder-compatibility group,
-//     a verify a one-item sweep, a synthesis one unit. A fixed worker set
-//     drains units with deficit-round-robin fairness across requests, so a
-//     large sweep interleaves with small verifies instead of blocking them.
-//   - Admission control bounds the waiting queue and how long a request
-//     may wait for its first unit to start. Excess load is shed with
-//     429/503 plus Retry-After — an overloaded server refuses work, it
-//     never guesses an answer.
+//     screens included, a verify a one-item sweep, a synthesis or a proof
+//     check one unit. A fixed worker set drains units with
+//     deficit-round-robin fairness across requests, so a large sweep
+//     interleaves with small verifies instead of blocking them.
+//   - The scheduler is also the admission queue: it bounds the waiting
+//     requests and how long one may wait for its first unit to start.
+//     Excess load is shed with 429/503 plus Retry-After — an overloaded
+//     server refuses work, it never guesses an answer.
 //   - Every request carries a deadline that propagates into the solver; an
 //     expired check reports inconclusive with a machine-readable reason.
 //   - A retry ladder falls back from the warm incremental encoder to a
@@ -43,7 +44,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"segrid/internal/core"
@@ -116,8 +116,8 @@ type Config struct {
 	Screen bool
 	// ScreenCacheSize bounds the screen-verdict LRU cache: screening
 	// outcomes are memoized across requests keyed by (topology, goal,
-	// bounds) and consulted before any work unit is scheduled. 0 selects
-	// the default of 1024 entries; negative disables the cache.
+	// bounds) and consulted before an item's LP screen runs. 0 selects the
+	// default of 1024 entries; negative disables the cache.
 	ScreenCacheSize int
 }
 
@@ -178,7 +178,6 @@ type Service struct {
 	sched    *sched.Scheduler
 	screens  *pool.Registry[string, *core.Result]         // screen verdicts keyed by instance (nil: disabled)
 	supports *pool.Registry[pool.Key, *synth.SupportPool] // cube supports keyed by attack model
-	wait     atomic.Int64                                 // requests admitted but not yet started
 	specs    sync.Map                                     // pool.Key → *scenariofile.AttackSpec
 	m        metrics
 	start    time.Time
@@ -189,7 +188,7 @@ func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		sched:    sched.New(sched.Config{Workers: cfg.MaxConcurrent}),
+		sched:    sched.New(sched.Config{Workers: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue, QueueWait: cfg.QueueWait}),
 		screens:  newScreenCache(cfg.ScreenCacheSize),
 		supports: pool.NewRegistry[pool.Key, *synth.SupportPool](0),
 		start:    time.Now(),
@@ -299,12 +298,12 @@ func (s *Service) PoolStats() pool.Stats { return s.pool.Stats() }
 func (s *Service) SchedStats() sched.Stats { return s.sched.Stats() }
 
 // Verify answers one verification request in-process, bypassing HTTP
-// transport and admission shedding — the benchmark harness's entry point
-// for measuring the solve path alone. The work still runs as scheduler
-// units, so in-process calls share the worker set and fairness policy with
-// HTTP traffic; verdict semantics are identical.
+// transport — the benchmark harness's entry point for measuring the solve
+// path alone. It shares the workers, fairness and admission of HTTP
+// traffic: overload sheds it (an error carrying http 429 or 503), and a
+// ctx cancelled while queued is an error carrying 499.
 func (s *Service) Verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, error) {
-	resp, herr := s.verify(ctx, req, nil)
+	resp, herr := s.verify(ctx, req)
 	if herr != nil {
 		return nil, fmt.Errorf("verify: %s (http %d)", herr.msg, herr.status)
 	}
@@ -313,7 +312,7 @@ func (s *Service) Verify(ctx context.Context, req *VerifyRequest) (*VerifyRespon
 
 // Sweep answers one batched sweep in-process (see Verify).
 func (s *Service) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
-	resp, herr := s.sweep(ctx, req, false, false, nil)
+	resp, herr := s.sweep(ctx, req, false, false)
 	if herr != nil {
 		return nil, fmt.Errorf("sweep: %s (http %d)", herr.msg, herr.status)
 	}
@@ -332,55 +331,6 @@ func (s *Service) shedDelay() time.Duration {
 	return d
 }
 
-// admit implements the bounded admission queue's front half: a request past
-// the queue bound is shed immediately with 429. On success the caller owes
-// one s.wait decrement, normally paid by the httpAdmit watcher.
-func (s *Service) admit(w http.ResponseWriter) bool {
-	if s.wait.Add(1) > int64(s.cfg.MaxQueue) {
-		s.wait.Add(-1)
-		s.m.shed429.Add(1)
-		writeShed(w, http.StatusTooManyRequests, "admission queue full", s.shedDelay())
-		return false
-	}
-	return true
-}
-
-// httpAdmit is the HTTP back half of admission: a watcher over the request's
-// flow that sheds with 503 when no scheduler worker starts a unit within the
-// queue wait, and with 499 when the client goes away first. An Abort that
-// loses its race (a unit started concurrently) falls through to normal
-// processing — the work is running; shedding now would waste it. Called with
-// a nil flow (the screening tier answered without scheduling anything) it
-// only settles the wait counter. The returned statuses are terminal: the
-// caller writes them and must not Wait on the flow, whose queue the winning
-// Abort emptied.
-func (s *Service) httpAdmit(r *http.Request) func(fl *sched.Flow) *handlerError {
-	return func(fl *sched.Flow) *handlerError {
-		defer s.wait.Add(-1)
-		if fl == nil {
-			return nil
-		}
-		t := time.NewTimer(s.cfg.QueueWait)
-		defer t.Stop()
-		select {
-		case <-fl.Started():
-			return nil
-		case <-t.C:
-			if fl.Abort() {
-				return &handlerError{http.StatusServiceUnavailable, "no solve slot within queue wait"}
-			}
-			<-fl.Started()
-			return nil
-		case <-r.Context().Done():
-			if fl.Abort() {
-				return &handlerError{499, "client went away while queued"}
-			}
-			<-fl.Started()
-			return nil
-		}
-	}
-}
-
 // unit is one scheduler work unit: its cost and its body.
 type unit struct {
 	cost int
@@ -388,35 +338,43 @@ type unit struct {
 }
 
 // runFlow runs units as one scheduler flow of the given weight and waits
-// for them. admit, when non-nil, is called exactly once: with the flow
-// after every unit is submitted, or with nil when there is nothing to
-// schedule (the screening tier answered, planning failed) or the scheduler
-// refused a unit. A non-nil admit error means the flow was aborted before
-// starting (queue-wait shed, client gone); runFlow returns it without
-// waiting.
-func (s *Service) runFlow(weight int, units []unit, admit func(*sched.Flow) *handlerError) *handlerError {
-	if admit == nil {
-		admit = func(*sched.Flow) *handlerError { return nil }
-	}
-	if len(units) == 0 {
-		return admit(nil)
-	}
+// for them. The scheduler is the admission queue: a flow refused at the
+// queue bound is a 429, one whose first unit did not start within the
+// queue wait a 503, and one whose ctx was cancelled while it was still
+// queued (the client went away) a 499. A deadline expiring in the queue
+// aborts nothing: the units run and answer inconclusive themselves.
+func (s *Service) runFlow(ctx context.Context, weight int, units []unit) *handlerError {
 	fl := s.sched.NewFlow(weight)
+	stop := context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.Canceled) {
+			fl.Abort() // loses, harmlessly, once a unit has started
+		}
+	})
+	defer stop()
+	var err error
 	for _, u := range units {
-		if err := fl.Submit(u.cost, u.fn); err != nil {
-			// Scheduler closing mid-request: drain whatever was already
-			// submitted (units may be writing into the response), then shed
-			// rather than publish a torn answer.
-			fl.Wait()
-			_ = admit(nil)
-			return &handlerError{http.StatusServiceUnavailable, "scheduler shutting down"}
+		if err = fl.Submit(u.cost, u.fn); err != nil {
+			break
 		}
 	}
-	if aerr := admit(fl); aerr != nil {
-		return aerr
+	// Drain whatever was submitted (units may be writing into the
+	// response) before reporting a refusal, rather than publish a torn
+	// answer.
+	if werr := fl.Wait(); err == nil {
+		err = werr
 	}
-	fl.Wait()
-	return nil
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, sched.ErrQueueFull):
+		return &handlerError{http.StatusTooManyRequests, "admission queue full"}
+	case errors.Is(err, sched.ErrQueueWait):
+		return &handlerError{http.StatusServiceUnavailable, "no solve slot within queue wait"}
+	case errors.Is(err, sched.ErrAborted):
+		return &handlerError{499, "client went away while queued"}
+	default:
+		return &handlerError{http.StatusServiceUnavailable, "scheduler shutting down"}
+	}
 }
 
 // requestContext applies the clamped per-request deadline.
@@ -442,14 +400,11 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, errNoProofDir)
 		return
 	}
-	if !s.admit(w) {
-		return
-	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	start := time.Now()
-	resp, herr := s.verify(ctx, &req, s.httpAdmit(r))
+	resp, herr := s.verify(ctx, &req)
 	if herr != nil {
 		s.writeFailure(w, herr)
 		return
@@ -482,14 +437,11 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, &handlerError{http.StatusBadRequest, fmt.Sprintf("bad sweep request: %v", err)})
 		return
 	}
-	if !s.admit(w) {
-		return
-	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	start := time.Now()
-	resp, herr := s.sweep(ctx, &req, false, false, s.httpAdmit(r))
+	resp, herr := s.sweep(ctx, &req, false, false)
 	if herr != nil {
 		s.writeFailure(w, herr)
 		return
@@ -514,14 +466,11 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, errNoProofDir)
 		return
 	}
-	if !s.admit(w) {
-		return
-	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	start := time.Now()
-	resp, herr := s.synthesize(ctx, &req, s.httpAdmit(r))
+	resp, herr := s.synthesize(ctx, &req)
 	if herr != nil {
 		s.writeFailure(w, herr)
 		return
@@ -536,8 +485,8 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // unit costed and weighted by its worker count. A cube run solves on that
 // many goroutines of its own while the unit's scheduler worker waits for
 // them — an oversubscription of the scheduler bound, priced into the
-// unit's cost. admit follows the contract described on runFlow.
-func (s *Service) synthesize(ctx context.Context, req *SynthesizeRequest, admit func(*sched.Flow) *handlerError) (*SynthesizeResponse, *handlerError) {
+// unit's cost.
+func (s *Service) synthesize(ctx context.Context, req *SynthesizeRequest) (*SynthesizeResponse, *handlerError) {
 	workers := s.cubeWorkers(req.CubeWorkers)
 	if req.Synthesis.MeasurementGranular() {
 		// The measurement-granular loop has no cube mode; it always runs
@@ -548,7 +497,7 @@ func (s *Service) synthesize(ctx context.Context, req *SynthesizeRequest, admit 
 		resp *SynthesizeResponse
 		herr *handlerError
 	)
-	if ferr := s.runFlow(workers, []unit{{workers, func() { resp, herr = s.synthesizeUnit(ctx, req, workers) }}}, admit); ferr != nil {
+	if ferr := s.runFlow(ctx, workers, []unit{{workers, func() { resp, herr = s.synthesizeUnit(ctx, req, workers) }}}); ferr != nil {
 		return nil, ferr
 	}
 	return resp, herr
@@ -665,7 +614,15 @@ func (s *Service) handleProofCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "path escapes the proof directory")
 		return
 	}
-	rep, err := proof.CheckFile(filepath.Join(s.cfg.ProofDir, clean))
+	// The check is a one-unit flow: certificate checking is CPU work like
+	// any solve, so it queues, is shed and is bounded by the same workers.
+	var rep *proof.Report
+	var err error
+	path := filepath.Join(s.cfg.ProofDir, clean)
+	if herr := s.runFlow(r.Context(), 1, []unit{{1, func() { rep, err = proof.CheckFile(path) }}}); herr != nil {
+		s.writeFailure(w, herr)
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusOK, &ProofCheckResponse{Valid: false, Error: err.Error()})
 		return
@@ -686,8 +643,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.m.snapshot(
-		s.pool.Stats(), int(s.wait.Load()), s.sched.Stats(), s.supports.Stats()))
+	writeJSON(w, http.StatusOK, s.m.snapshot(s.pool.Stats(), s.sched.Stats(), s.supports.Stats()))
 }
 
 // handlerError carries an HTTP status through the request pipeline.
@@ -699,12 +655,17 @@ type handlerError struct {
 var errNoProofDir = &handlerError{http.StatusBadRequest, "proof requested but the server has no proof directory"}
 
 // writeFailure answers a request that ended without a response body. A 400
-// counts as a bad request and a 503 as a shed (with Retry-After); anything
-// else (a 499 for a client gone while queued, a 500) is written as is.
+// counts as a bad request, and a 429 or 503 as a shed (with Retry-After);
+// anything else (a 499 for a client gone while queued, a 500) is written as
+// is.
 func (s *Service) writeFailure(w http.ResponseWriter, herr *handlerError) {
 	switch herr.status {
 	case http.StatusBadRequest:
 		s.m.badRequests.Add(1)
+	case http.StatusTooManyRequests:
+		s.m.shed429.Add(1)
+		writeShed(w, herr.status, herr.msg, s.shedDelay())
+		return
 	case http.StatusServiceUnavailable:
 		s.m.shed503.Add(1)
 		writeShed(w, herr.status, herr.msg, s.shedDelay())

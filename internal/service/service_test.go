@@ -299,6 +299,39 @@ func TestProofRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAdmissionProofCheckIsShed checks a certificate check is scheduled
+// work like any solve: with the only worker held by a fault-stalled verify,
+// a proofcheck waits in the queue and is shed with 503 at the queue wait;
+// once the worker frees it runs as one unit.
+func TestAdmissionProofCheckIsShed(t *testing.T) {
+	svc, srv := newTestServer(t, Config{
+		MaxConcurrent: 1,
+		QueueWait:     100 * time.Millisecond,
+		ProofDir:      t.TempDir(),
+		Faults:        faultinject.New(11, faultinject.Config{PStall: 1, MaxAfterPolls: 1, StallFor: 50 * time.Millisecond}),
+	})
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		post(t, srv, "/v1/verify", VerifyRequest{Attack: obj2Spec(), TimeoutMs: 1000})
+	}()
+	waitFor(t, "the holder to occupy the worker", func() bool { return svc.SchedStats().Running == 1 })
+
+	resp, raw := post(t, srv, "/v1/proofcheck", ProofCheckRequest{Path: "missing.proof"})
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("proofcheck behind a held worker: %d %s, want 503 with Retry-After", resp.StatusCode, raw)
+	}
+	<-held
+	before := svc.SchedStats().UnitsRun
+	resp, raw = post(t, srv, "/v1/proofcheck", ProofCheckRequest{Path: "missing.proof"})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"valid":false`) {
+		t.Fatalf("proofcheck on an idle server: %d %s, want 200 with valid false", resp.StatusCode, raw)
+	}
+	if ran := svc.SchedStats().UnitsRun - before; ran != 1 {
+		t.Fatalf("proofcheck ran %d scheduler units, want 1", ran)
+	}
+}
+
 // TestProofStreamFaultNeverPublishes injects a certificate-sink failure:
 // the verdict must stand, the failure must be reported, and nothing may be
 // published.

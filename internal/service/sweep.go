@@ -10,7 +10,6 @@ import (
 
 	"segrid/internal/pool"
 	"segrid/internal/scenariofile"
-	"segrid/internal/sched"
 	"segrid/internal/smt"
 )
 
@@ -171,49 +170,28 @@ func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.Att
 }
 
 // sweep plans and executes one sweep request (fresh and proof as in
-// planSweep): planning and the screening tier run on the request goroutine
-// (the screen-verdict cache is consulted before anything is scheduled),
-// then each group with unscreened items becomes one scheduler work unit
-// costed by its item count. Group units from one sweep run concurrently
-// when workers are free and interleave with other requests' units under
-// the fairness policy. admit follows the contract described on runFlow.
-func (s *Service) sweep(ctx context.Context, req *SweepRequest, fresh, proof bool, admit func(*sched.Flow) *handlerError) (*SweepResponse, *handlerError) {
+// planSweep): planning runs on the request goroutine, then each group
+// becomes one scheduler work unit costed by its item count, which screens
+// and checks the group's items. Group units from one sweep run
+// concurrently when workers are free and interleave with other requests'
+// units under the fairness policy. Fresh-mode requests explicitly ask for
+// solver artifacts and are never screened.
+func (s *Service) sweep(ctx context.Context, req *SweepRequest, fresh, proof bool) (*SweepResponse, *handlerError) {
 	groups, herr := s.planSweep(req, fresh, proof)
 	if herr != nil {
-		_ = s.runFlow(1, nil, admit) // settles admission; nothing runs
 		return nil, herr
 	}
 	resp := &SweepResponse{
 		Items:  make([]*VerifyResponse, len(req.Items)),
 		Groups: len(groups),
 	}
-	// Fresh-mode requests explicitly ask for solver artifacts and are never
-	// screened; otherwise the screen answers what it can up front and the
-	// groups keep only the rest. A fully screened sweep schedules nothing.
 	screen := s.screenEnabled(req.Screen) && !fresh
-	var (
-		units  []unit
-		builds atomic.Int64
-	)
-	for _, g := range groups {
-		if screen {
-			unscreened := g.items[:0]
-			for _, it := range g.items {
-				start := time.Now()
-				if r := s.screenItem(ctx, g.spec, &it.ov); r != nil {
-					r.ElapsedMs = time.Since(start).Milliseconds()
-					resp.Items[it.index] = r
-					continue
-				}
-				unscreened = append(unscreened, it)
-			}
-			g.items = unscreened
-		}
-		if len(g.items) > 0 {
-			units = append(units, unit{len(g.items), func() { s.runGroup(ctx, g, resp.Items, &builds) }})
-		}
+	var builds atomic.Int64
+	units := make([]unit, len(groups))
+	for i, g := range groups {
+		units[i] = unit{len(g.items), func() { s.runGroup(ctx, g, screen, resp.Items, &builds) }}
 	}
-	if herr := s.runFlow(1, units, admit); herr != nil {
+	if herr := s.runFlow(ctx, 1, units); herr != nil {
 		return nil, herr
 	}
 	resp.EncoderBuilds = int(builds.Load())
@@ -221,8 +199,11 @@ func (s *Service) sweep(ctx context.Context, req *SweepRequest, fresh, proof boo
 }
 
 // runGroup is the body of one group's work unit: it answers the group's
-// items into their slots of out, on a single pooled lease, with the
-// warm→fresh retry ladder per item:
+// items into their slots of out. With screen set, each item first goes to
+// the LP screening tier (cache first); a definitive screen answers it. The
+// rest share a single pooled lease, checked out at the first unscreened
+// item — a fully screened group builds no encoder — with the warm→fresh
+// retry ladder per item:
 //
 //  1. the warm pooled encoder, with the item's overlay asserted in a solver
 //     scope — the cheap path;
@@ -240,7 +221,7 @@ func (s *Service) sweep(ctx context.Context, req *SweepRequest, fresh, proof boo
 // Groups of one sweep may run concurrently on different scheduler workers;
 // they write disjoint slots and count encoder builds through the shared
 // atomic.
-func (s *Service) runGroup(ctx context.Context, g *sweepGroup, out []*VerifyResponse, builds *atomic.Int64) {
+func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out []*VerifyResponse, builds *atomic.Int64) {
 	var lease *pool.Lease[*warmModel]
 	defer func() {
 		if lease != nil {
@@ -294,7 +275,13 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, out []*VerifyResp
 	}
 	for _, it := range g.items {
 		start := time.Now()
-		r := check(&it.ov)
+		var r *VerifyResponse
+		if screen {
+			r = s.screenItem(ctx, g.spec, &it.ov)
+		}
+		if r == nil {
+			r = check(&it.ov)
+		}
 		r.ElapsedMs = time.Since(start).Milliseconds()
 		out[it.index] = r
 	}

@@ -368,7 +368,7 @@ func TestSoakSweep(t *testing.T) {
 
 	// The sweep ledger adds up: every accepted sweep's items produced
 	// exactly one counted verdict each.
-	m := svc.m.snapshot(svc.PoolStats(), 0, svc.SchedStats(), svc.supports.Stats())
+	m := svc.m.snapshot(svc.PoolStats(), svc.SchedStats(), svc.supports.Stats())
 	if m.Sweeps != uint64(okSweeps) || m.SweepItems != uint64(okItems) {
 		t.Fatalf("sweep ledger: %d sweeps / %d items, want %d / %d", m.Sweeps, m.SweepItems, okSweeps, okItems)
 	}

@@ -14,7 +14,6 @@ import (
 	"segrid/internal/pool"
 	"segrid/internal/proof"
 	"segrid/internal/scenariofile"
-	"segrid/internal/sched"
 	"segrid/internal/screen"
 	"segrid/internal/smt"
 )
@@ -25,13 +24,13 @@ import (
 // group executor (with its warm→fresh retry ladder) as every /v1/sweep
 // item. Proof and freshEncode requests plan onto a fresh-encoder group and
 // are never screened: both explicitly ask for solver artifacts.
-func (s *Service) verify(ctx context.Context, req *VerifyRequest, admit func(*sched.Flow) *handlerError) (*VerifyResponse, *handlerError) {
+func (s *Service) verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, *handlerError) {
 	one := &SweepRequest{
 		Attack: req.Attack,
 		Items:  []SweepItem{{SecuredBuses: req.SecuredBuses, SecuredMeasurements: req.SecuredMeasurements}},
 		Screen: req.Screen,
 	}
-	resp, herr := s.sweep(ctx, one, req.Proof || req.FreshEncode, req.Proof, admit)
+	resp, herr := s.sweep(ctx, one, req.Proof || req.FreshEncode, req.Proof)
 	if herr != nil {
 		// The planner names the failing item; a verify has only the one.
 		return nil, &handlerError{herr.status, strings.TrimPrefix(herr.msg, "sweep item 0: ")}
@@ -203,13 +202,14 @@ func (s *Service) screenEnabled(override *bool) bool {
 }
 
 // screenItem runs the LP-relaxation screening tier on one (spec, overlay)
-// instance, consulting the cross-request screen-verdict cache first. A
-// definitive verdict comes back as a complete response with Screened set —
-// the caller returns it and never touches the encoder pool or the
-// scheduler. Anything else (inconclusive screen, malformed spec or overlay,
-// screening error) returns nil: the SMT path runs as if the screen did not
-// exist and reports its own errors, so screening never changes what a
-// request can observe beyond latency.
+// instance, consulting the cross-request screen-verdict cache first. It
+// runs inside the item's group unit, on a scheduler worker. A definitive
+// verdict comes back as a complete response with Screened set — the caller
+// answers the item with it and never touches the encoder pool. Anything
+// else (inconclusive screen, malformed spec or overlay, screening error)
+// returns nil: the SMT path runs as if the screen did not exist and reports
+// its own errors, so screening never changes what a request can observe
+// beyond latency.
 //
 // Cache hits count into the regular screen verdict counters (plus the hit
 // counter), so the accept/reject/inconclusive ledger stays the tier's
