@@ -244,43 +244,6 @@ func BenchmarkCaseStudyObjective2(b *testing.B) {
 
 // --- ablation benches (design choices from DESIGN.md) -------------------
 
-// BenchmarkAblationCardinality compares the sequential-counter at-most-k
-// encoding against the naive binomial encoding. The constraint counts the
-// 14 bus-compromise variables (T_CB = 3): the binomial encoding is
-// C(14,4) = 1001 clauses here, but would be C(44,7) ≈ 38 million on the
-// measurement-count constraint — which is exactly why the sequential
-// counter is the default.
-func BenchmarkAblationCardinality(b *testing.B) {
-	mk := func(naive bool) *core.Scenario {
-		sc := core.NewScenario(core.CaseStudyMeasurements(false).System())
-		sc.Meas = core.CaseStudyMeasurements(false)
-		sc.TargetStates = []int{12}
-		sc.MaxCompromisedBuses = 3
-		opts := smt.DefaultOptions()
-		opts.NaiveCardinality = naive
-		sc.Options = &opts
-		return sc
-	}
-	b.Run("seqcounter", func(b *testing.B) { runVerify(b, mk(false), true) })
-	b.Run("binomial", func(b *testing.B) { runVerify(b, mk(true), true) })
-}
-
-// BenchmarkAblationTheoryCheck compares eager DPLL(T) (simplex check at
-// every propagation fixpoint) against the lazy variant (full Boolean
-// assignments only).
-func BenchmarkAblationTheoryCheck(b *testing.B) {
-	sys := mustCase(b, "ieee57")
-	mk := func(eager bool) *core.Scenario {
-		sc := verifyScenario(sys, 1+sys.Buses/2)
-		opts := smt.DefaultOptions()
-		opts.TheoryCheckAtFixpoint = eager
-		sc.Options = &opts
-		return sc
-	}
-	b.Run("fixpoint", func(b *testing.B) { runVerify(b, mk(true), true) })
-	b.Run("finalonly", func(b *testing.B) { runVerify(b, mk(false), true) })
-}
-
 // BenchmarkAblationPruning compares synthesis with and without the Eq. 30
 // candidate-space reduction.
 func BenchmarkAblationPruning(b *testing.B) {

@@ -27,14 +27,10 @@
 //	-proof-dir dir    enable UNSAT certificates: verify/synthesize requests
 //	                  may ask for per-request certificate files under dir,
 //	                  and POST /v1/proofcheck re-checks them independently
-//	-pool-live n      warm-encoder pool size cap (default 64); a cold build
-//	                  at the cap evicts the least-recently-used idle encoder
+//	-pool-live n      warm-encoder pool size cap (default 64), the pool's
+//	                  memory bound; a cold build at the cap evicts the
+//	                  least-recently-used idle encoder
 //	-pool-idle n      warm encoders kept per (topology, shape) key (default 2)
-//	-pool-idle-total n   idle warm encoders kept across all keys; past it the
-//	                  globally least-recently-used encoder is evicted and torn
-//	                  down (default: the -pool-live cap)
-//	-pool-idle-bytes n   idle warm-pool memory budget in bytes, enforced by the
-//	                  same global LRU order (0 = unlimited)
 //	-sweep-max-items n   per-request item cap for POST /v1/sweep (default 256)
 //	-cube-workers n   default cube-and-conquer width for bus-granular
 //	                  synthesis: > 1 fans the search across that many
@@ -47,11 +43,10 @@
 //	                  sweep items the screen decides definitively are
 //	                  answered without an encoder or SMT solve ("screened":
 //	                  true in the response); requests override per call with
-//	                  their "screen" field
-//	-screen-cache n   screen-verdict cache entries: definitive and
-//	                  inconclusive screen outcomes are memoized by (topology,
-//	                  goal, overlay) and re-served without re-screening
-//	                  (0 = default 1024, negative disables)
+//	                  their "screen" field; definitive and inconclusive
+//	                  screen outcomes are memoized by (topology, goal,
+//	                  overlay) in a 1024-entry LRU and re-served without
+//	                  re-screening
 //
 // Endpoints:
 //
@@ -100,13 +95,10 @@ func main() {
 	proofDir := fs.String("proof-dir", "", "enable per-request UNSAT certificates under this directory")
 	poolLive := fs.Int("pool-live", 0, "warm-encoder pool size cap (0 = default)")
 	poolIdle := fs.Int("pool-idle", 0, "warm encoders kept per key (0 = default)")
-	poolIdleTotal := fs.Int("pool-idle-total", 0, "idle warm encoders kept across all keys, LRU-evicted past it (0 = pool-live cap)")
-	poolIdleBytes := fs.Int64("pool-idle-bytes", 0, "idle warm-pool memory budget in bytes, LRU-enforced (0 = unlimited)")
 	sweepMaxItems := fs.Int("sweep-max-items", 0, "per-request item cap for POST /v1/sweep (0 = default 256)")
 	cubeWorkers := fs.Int("cube-workers", 0, "default cube-and-conquer workers for synthesis (1 = sequential, -1 = host default)")
 	maxWorkers := fs.Int("max-workers", 0, "per-request cap on the cube worker count (0 = default 8)")
 	screenTier := fs.Bool("screen", false, "enable the LP-relaxation screening tier ahead of the SMT pipeline")
-	screenCache := fs.Int("screen-cache", 0, "screen-verdict cache entries (0 = default 1024, negative disables)")
 	_ = fs.Parse(os.Args[1:])
 
 	if *proofDir != "" {
@@ -124,13 +116,10 @@ func main() {
 		ProofDir:             *proofDir,
 		PoolMaxLive:          *poolLive,
 		PoolMaxIdlePerKey:    *poolIdle,
-		PoolMaxIdle:          *poolIdleTotal,
-		PoolMaxIdleBytes:     *poolIdleBytes,
 		MaxSweepItems:        *sweepMaxItems,
 		CubeWorkers:          *cubeWorkers,
 		MaxWorkersPerRequest: *maxWorkers,
 		Screen:               *screenTier,
-		ScreenCacheSize:      *screenCache,
 	})
 	if err != nil {
 		log.Fatalf("segridd: %v", err)

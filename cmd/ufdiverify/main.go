@@ -12,16 +12,13 @@
 //	-timeout d        wall-clock budget for the check (e.g. 30s; 0 = none)
 //	-max-conflicts n  CDCL conflict budget (0 = unlimited)
 //	-max-pivots n     simplex pivot budget (0 = unlimited)
-//	-fresh-encode     re-encode from scratch on every Check instead of reusing
-//	                  the incremental solver instance (ablation/debug knob)
 //	-screen           run the LP-relaxation screening tier first (default
 //	                  true): a definitive relaxation verdict — certified
 //	                  unsat or an exactly replayed attack vector — answers
 //	                  without the SMT solver; inconclusive screens fall
 //	                  through silently. Skipped when a certificate is
 //	                  requested (-proof/-check-proof), which needs the
-//	                  solver's stream
-//	-no-screen        disable the screening tier (ablation; -screen=false)
+//	                  solver's stream; -screen=false disables it (ablation)
 //	-proof path       stream an UNSAT certificate to path (internal/proof
 //	                  format); on unsat the verdict is then independently
 //	                  re-checkable with cmd/proofcheck
@@ -81,9 +78,7 @@ func run(args []string) (int, error) {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the check (0 = none)")
 	maxConflicts := fs.Int64("max-conflicts", 0, "CDCL conflict budget (0 = unlimited)")
 	maxPivots := fs.Int64("max-pivots", 0, "simplex pivot budget (0 = unlimited)")
-	freshEncode := fs.Bool("fresh-encode", false, "re-encode on every Check instead of solving incrementally (ablation)")
 	screenTier := fs.Bool("screen", true, "run the LP-relaxation screening tier before the SMT solve")
-	noScreen := fs.Bool("no-screen", false, "disable the screening tier (ablation; same as -screen=false)")
 	proofPath := fs.String("proof", "", "stream an UNSAT certificate to this file")
 	checkProof := fs.Bool("check-proof", false, "emit the certificate and verify it with the independent checker (temp file when -proof is unset)")
 	trimProof := fs.Bool("trim-proof", false, "trim the closed certificate in place before any -check-proof verification")
@@ -107,7 +102,7 @@ func run(args []string) (int, error) {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *screenTier && !*noScreen && *proofPath == "" && !*checkProof {
+	if *screenTier && *proofPath == "" && !*checkProof {
 		code, done, err := runScreen(ctx, sc)
 		if done {
 			return code, err
@@ -132,7 +127,7 @@ func run(args []string) (int, error) {
 			return exitError, err
 		}
 	}
-	if *maxConflicts > 0 || *maxPivots > 0 || *freshEncode || pw != nil {
+	if *maxConflicts > 0 || *maxPivots > 0 || pw != nil {
 		opts := smt.DefaultOptions()
 		if sc.Options != nil {
 			opts = *sc.Options
@@ -142,9 +137,6 @@ func run(args []string) (int, error) {
 		}
 		if *maxPivots > 0 {
 			opts.Budget.MaxPivots = *maxPivots
-		}
-		if *freshEncode {
-			opts.FreshPerCheck = true
 		}
 		if pw != nil {
 			opts.Proof = pw

@@ -81,49 +81,20 @@ func GateClauses(dst [][]sat.Lit, g Gate, out sat.Lit, inputs []sat.Lit) [][]sat
 	return appendCopies(dst, a.GateClauses(g, out, inputs))
 }
 
-// CardEncoding names an at-most-k clause encoding.
-type CardEncoding uint8
-
-const (
-	// CardSeqCounter is the sequential-counter encoding LT_{n,k} of Sinz
-	// (CP 2005): O(n·k) clauses and auxiliary variables, arc-consistent
-	// under unit propagation.
-	CardSeqCounter CardEncoding = iota + 1
-	// CardPairwise is the naive binomial encoding: one clause per
-	// (k+1)-subset. Exponential; retained as an ablation baseline.
-	CardPairwise
-)
-
-func (e CardEncoding) String() string {
-	switch e {
-	case CardSeqCounter:
-		return "seqcounter"
-	case CardPairwise:
-		return "pairwise"
-	default:
-		return fmt.Sprintf("cardenc(%d)", uint8(e))
-	}
-}
-
-// Valid reports whether e is a known cardinality encoding.
-func (e CardEncoding) Valid() bool { return e == CardSeqCounter || e == CardPairwise }
-
 // CardFreshVars returns how many consecutive fresh auxiliary variables
-// AtMostK consumes for n inputs and bound k under enc. Only the sequential
-// counter introduces registers; the degenerate bounds (k < 0, k = 0, k ≥ n)
-// need none under either encoding.
-func CardFreshVars(n, k int, enc CardEncoding) int {
-	if enc == CardSeqCounter && k > 0 && k < n {
+// AtMostK consumes for n inputs and bound k. The degenerate bounds (k < 0,
+// k = 0, k ≥ n) need none.
+func CardFreshVars(n, k int) int {
+	if k > 0 && k < n {
 		return (n - 1) * k
 	}
 	return 0
 }
 
 // CardClauseCount returns how many clauses AtMostK emits for n inputs and
-// bound k under enc. ok is false when the count overflows the given limit
-// (relevant for the pairwise encoding's binomial blow-up, and for decoders
-// that must bound work before deriving clauses from untrusted records).
-func CardClauseCount(n, k int, enc CardEncoding, limit int) (count int, ok bool) {
+// bound k. ok is false when the count overflows the given limit (decoders
+// must bound work before deriving clauses from untrusted records).
+func CardClauseCount(n, k, limit int) (count int, ok bool) {
 	switch {
 	case k >= n:
 		return 0, true
@@ -132,35 +103,16 @@ func CardClauseCount(n, k int, enc CardEncoding, limit int) (count int, ok bool)
 	case k == 0:
 		return n, n <= limit
 	}
-	switch enc {
-	case CardSeqCounter:
-		// Base row: 1 + (k−1); middle rows (n−2 of them): 2k + 1; final: 1.
-		c := k + (n-2)*(2*k+1) + 1
-		return c, c <= limit && c >= 0
-	case CardPairwise:
-		// C(n, k+1) along the diagonal: after step i the accumulator is
-		// C(n−r+i, i), itself a binomial ≤ the final value, so checking the
-		// limit each step bounds the intermediates (≤ limit·n, well inside int64).
-		var c int64 = 1
-		r := k + 1
-		if n-r < r {
-			r = n - r
-		}
-		for i := 1; i <= r; i++ {
-			c = c * int64(n-r+i) / int64(i)
-			if c > int64(limit) {
-				return 0, false
-			}
-		}
-		return int(c), true
-	default:
-		return 0, false
-	}
+	// Base row: 1 + (k−1); middle rows (n−2 of them): 2k + 1; final: 1.
+	c := k + (n-2)*(2*k+1) + 1
+	return c, c <= limit && c >= 0
 }
 
-// AtMostK appends the clauses of Σ lits ≤ k to dst and returns it.
+// AtMostK appends the clauses of Σ lits ≤ k to dst and returns it, in the
+// sequential-counter encoding LT_{n,k} of Sinz (CP 2005): O(n·k) clauses and
+// auxiliary variables, arc-consistent under unit propagation.
 //
-// firstFresh is the first of CardFreshVars(len(lits), k, enc) consecutive
+// firstFresh is the first of CardFreshVars(len(lits), k) consecutive
 // fresh variables used as sequential-counter registers; register s[i][j]
 // ("at least j+1 of the first i+1 inputs are true") is variable
 // firstFresh + i·k + j. guard, unless sat.LitUndef, is appended verbatim as
@@ -171,9 +123,9 @@ func CardClauseCount(n, k int, enc CardEncoding, limit int) (count int, ok bool)
 // Degenerate bounds mirror the solver encoder exactly: k ≥ n emits nothing,
 // k < 0 emits the (guarded) empty clause, k = 0 emits one (guarded) unit per
 // input. Each returned clause is freshly allocated; dst may be nil.
-func AtMostK(dst [][]sat.Lit, lits []sat.Lit, k int, enc CardEncoding, firstFresh sat.Var, guard sat.Lit) [][]sat.Lit {
+func AtMostK(dst [][]sat.Lit, lits []sat.Lit, k int, firstFresh sat.Var, guard sat.Lit) [][]sat.Lit {
 	var a Arena
-	return appendCopies(dst, a.AtMostK(lits, k, enc, firstFresh, guard))
+	return appendCopies(dst, a.AtMostK(lits, k, firstFresh, guard))
 }
 
 // appendCopies appends a fresh copy of each src clause to dst, detaching the
@@ -198,8 +150,6 @@ type Arena struct {
 	ends  []int
 	views [][]sat.Lit
 	guard sat.Lit
-
-	subset []sat.Lit // pairwise recursion scratch
 }
 
 // begin resets the buffers for a new derivation; guard, unless sat.LitUndef,
@@ -292,7 +242,7 @@ func (a *Arena) GateClauses(g Gate, out sat.Lit, inputs []sat.Lit) [][]sat.Lit {
 // AtMostK is the arena-backed equivalent of the package-level AtMostK: same
 // clauses in the same order, but the returned slices alias the arena and are
 // invalidated by its next derivation.
-func (a *Arena) AtMostK(lits []sat.Lit, k int, enc CardEncoding, firstFresh sat.Var, guard sat.Lit) [][]sat.Lit {
+func (a *Arena) AtMostK(lits []sat.Lit, k int, firstFresh sat.Var, guard sat.Lit) [][]sat.Lit {
 	n := len(lits)
 	a.begin(guard)
 	guarded := 0
@@ -313,56 +263,28 @@ func (a *Arena) AtMostK(lits []sat.Lit, k int, enc CardEncoding, firstFresh sat.
 		return a.finish()
 	}
 	// Pre-size for the circuit about to be derived; clauses are at most
-	// 3+guard literals wide for the sequential counter, k+1+guard for the
-	// pairwise subsets. Counts over the cap (unreachable for real circuits)
-	// fall back to append growth.
-	if count, ok := CardClauseCount(n, k, enc, 1<<24); ok {
-		width := 3
-		if enc == CardPairwise {
-			width = k + 1
-		}
-		a.grow(count, count*(width+guarded))
+	// 3+guard literals wide. Counts over the cap (unreachable for real
+	// circuits) fall back to append growth.
+	if count, ok := CardClauseCount(n, k, 1<<24); ok {
+		a.grow(count, count*(3+guarded))
 	}
-	switch enc {
-	case CardSeqCounter:
-		reg := func(i, j int) sat.Lit {
-			return sat.PosLit(firstFresh + sat.Var(i*k+j))
-		}
-		// Base: x0 → s[0][0]; s[0][j] false for j ≥ 1.
-		a.clause(lits[0].Not(), reg(0, 0))
+	reg := func(i, j int) sat.Lit {
+		return sat.PosLit(firstFresh + sat.Var(i*k+j))
+	}
+	// Base: x0 → s[0][0]; s[0][j] false for j ≥ 1.
+	a.clause(lits[0].Not(), reg(0, 0))
+	for j := 1; j < k; j++ {
+		a.clause(reg(0, j).Not())
+	}
+	for i := 1; i < n-1; i++ {
+		a.clause(lits[i].Not(), reg(i, 0))
+		a.clause(reg(i-1, 0).Not(), reg(i, 0))
 		for j := 1; j < k; j++ {
-			a.clause(reg(0, j).Not())
+			a.clause(lits[i].Not(), reg(i-1, j-1).Not(), reg(i, j))
+			a.clause(reg(i-1, j).Not(), reg(i, j))
 		}
-		for i := 1; i < n-1; i++ {
-			a.clause(lits[i].Not(), reg(i, 0))
-			a.clause(reg(i-1, 0).Not(), reg(i, 0))
-			for j := 1; j < k; j++ {
-				a.clause(lits[i].Not(), reg(i-1, j-1).Not(), reg(i, j))
-				a.clause(reg(i-1, j).Not(), reg(i, j))
-			}
-			a.clause(lits[i].Not(), reg(i-1, k-1).Not())
-		}
-		a.clause(lits[n-1].Not(), reg(n-2, k-1).Not())
-	case CardPairwise:
-		a.subset = a.subset[:0]
-		var rec func(start int)
-		rec = func(start int) {
-			if len(a.subset) == k+1 {
-				for _, l := range a.subset {
-					a.push(l.Not())
-				}
-				a.close()
-				return
-			}
-			for i := start; i < n; i++ {
-				a.subset = append(a.subset, lits[i])
-				rec(i + 1)
-				a.subset = a.subset[:len(a.subset)-1]
-			}
-		}
-		rec(0)
-	default:
-		panic(fmt.Sprintf("cnf: unknown cardinality encoding %d", uint8(enc)))
+		a.clause(lits[i].Not(), reg(i-1, k-1).Not())
 	}
+	a.clause(lits[n-1].Not(), reg(n-2, k-1).Not())
 	return a.finish()
 }

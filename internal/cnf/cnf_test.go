@@ -131,18 +131,18 @@ func TestAtMostKDegenerate(t *testing.T) {
 	lits := []sat.Lit{lit(0, false), lit(1, false), lit(2, false)}
 	guard := lit(7, true)
 
-	if got := AtMostK(nil, lits, 3, CardSeqCounter, 10, sat.LitUndef); len(got) != 0 {
+	if got := AtMostK(nil, lits, 3, 10, sat.LitUndef); len(got) != 0 {
 		t.Errorf("k>=n: got %d clauses, want 0", len(got))
 	}
-	got := AtMostK(nil, lits, -1, CardSeqCounter, 10, guard)
+	got := AtMostK(nil, lits, -1, 10, guard)
 	if !reflect.DeepEqual(got, [][]sat.Lit{{guard}}) {
 		t.Errorf("k<0 guarded: got %v", got)
 	}
-	got = AtMostK(nil, lits, -1, CardSeqCounter, 10, sat.LitUndef)
+	got = AtMostK(nil, lits, -1, 10, sat.LitUndef)
 	if len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("k<0 unguarded: got %v, want one empty clause", got)
 	}
-	got = AtMostK(nil, lits, 0, CardPairwise, 10, guard)
+	got = AtMostK(nil, lits, 0, 10, guard)
 	want := [][]sat.Lit{
 		{lits[0].Not(), guard}, {lits[1].Not(), guard}, {lits[2].Not(), guard},
 	}
@@ -190,43 +190,41 @@ func satisfiable(clauses [][]sat.Lit, nVars int, fixed map[sat.Var]bool) bool {
 	return false
 }
 
-// TestAtMostKSemantics checks both encodings enforce exactly Σ lits ≤ k: for
+// TestAtMostKSemantics checks the encoding enforces exactly Σ lits ≤ k: for
 // every input assignment, the circuit (with registers existentially
 // quantified) is satisfiable iff at most k inputs are true.
 func TestAtMostKSemantics(t *testing.T) {
-	for _, enc := range []CardEncoding{CardSeqCounter, CardPairwise} {
-		for n := 1; n <= 4; n++ {
-			for k := 0; k < n; k++ {
-				inputs := make([]sat.Lit, n)
-				for i := range inputs {
-					inputs[i] = lit(i, false)
-				}
-				firstFresh := sat.Var(n)
-				fresh := CardFreshVars(n, k, enc)
-				clauses := AtMostK(nil, inputs, k, enc, firstFresh, sat.LitUndef)
-				if cnt, ok := CardClauseCount(n, k, enc, 1<<20); !ok || cnt != len(clauses) {
-					t.Fatalf("%v n=%d k=%d: CardClauseCount=%d ok=%v, actual %d", enc, n, k, cnt, ok, len(clauses))
-				}
-				maxVar := sat.Var(n - 1)
-				for _, cl := range clauses {
-					for _, l := range cl {
-						if l.Var() > maxVar {
-							maxVar = l.Var()
-						}
+	for n := 1; n <= 4; n++ {
+		for k := 0; k < n; k++ {
+			inputs := make([]sat.Lit, n)
+			for i := range inputs {
+				inputs[i] = lit(i, false)
+			}
+			firstFresh := sat.Var(n)
+			fresh := CardFreshVars(n, k)
+			clauses := AtMostK(nil, inputs, k, firstFresh, sat.LitUndef)
+			if cnt, ok := CardClauseCount(n, k, 1<<20); !ok || cnt != len(clauses) {
+				t.Fatalf("n=%d k=%d: CardClauseCount=%d ok=%v, actual %d", n, k, cnt, ok, len(clauses))
+			}
+			maxVar := sat.Var(n - 1)
+			for _, cl := range clauses {
+				for _, l := range cl {
+					if l.Var() > maxVar {
+						maxVar = l.Var()
 					}
 				}
-				if int(maxVar) >= n+fresh {
-					t.Fatalf("%v n=%d k=%d: clause uses var %d beyond the %d declared fresh vars", enc, n, k, maxVar, fresh)
+			}
+			if int(maxVar) >= n+fresh {
+				t.Fatalf("n=%d k=%d: clause uses var %d beyond the %d declared fresh vars", n, k, maxVar, fresh)
+			}
+			for m := 0; m < 1<<n; m++ {
+				fixed := make(map[sat.Var]bool, n)
+				for i := 0; i < n; i++ {
+					fixed[sat.Var(i)] = m>>i&1 == 1
 				}
-				for m := 0; m < 1<<n; m++ {
-					fixed := make(map[sat.Var]bool, n)
-					for i := 0; i < n; i++ {
-						fixed[sat.Var(i)] = m>>i&1 == 1
-					}
-					wantSat := bits.OnesCount(uint(m)) <= k
-					if got := satisfiable(clauses, n+fresh, fixed); got != wantSat {
-						t.Fatalf("%v n=%d k=%d inputs=%b: satisfiable=%v want %v", enc, n, k, m, got, wantSat)
-					}
+				wantSat := bits.OnesCount(uint(m)) <= k
+				if got := satisfiable(clauses, n+fresh, fixed); got != wantSat {
+					t.Fatalf("n=%d k=%d inputs=%b: satisfiable=%v want %v", n, k, m, got, wantSat)
 				}
 			}
 		}
@@ -238,47 +236,35 @@ func TestAtMostKSemantics(t *testing.T) {
 func TestAtMostKGuard(t *testing.T) {
 	inputs := []sat.Lit{lit(0, false), lit(1, false), lit(2, false)}
 	guard := lit(8, true) // ¬selector
-	for _, enc := range []CardEncoding{CardSeqCounter, CardPairwise} {
-		clauses := AtMostK(nil, inputs, 1, enc, 3, guard)
-		for i, cl := range clauses {
-			if len(cl) == 0 || cl[len(cl)-1] != guard {
-				t.Fatalf("%v clause %d = %v does not end with guard %v", enc, i, cl, guard)
-			}
+	clauses := AtMostK(nil, inputs, 1, 3, guard)
+	for i, cl := range clauses {
+		if len(cl) == 0 || cl[len(cl)-1] != guard {
+			t.Fatalf("clause %d = %v does not end with guard %v", i, cl, guard)
 		}
-		unguarded := AtMostK(nil, inputs, 1, enc, 3, sat.LitUndef)
-		if len(unguarded) != len(clauses) {
-			t.Fatalf("%v: guarded %d vs unguarded %d clauses", enc, len(clauses), len(unguarded))
-		}
-		for i := range unguarded {
-			if !reflect.DeepEqual(unguarded[i], clauses[i][:len(clauses[i])-1]) {
-				t.Fatalf("%v clause %d: guarded %v vs unguarded %v", enc, i, clauses[i], unguarded[i])
-			}
+	}
+	unguarded := AtMostK(nil, inputs, 1, 3, sat.LitUndef)
+	if len(unguarded) != len(clauses) {
+		t.Fatalf("guarded %d vs unguarded %d clauses", len(clauses), len(unguarded))
+	}
+	for i := range unguarded {
+		if !reflect.DeepEqual(unguarded[i], clauses[i][:len(clauses[i])-1]) {
+			t.Fatalf("clause %d: guarded %v vs unguarded %v", i, clauses[i], unguarded[i])
 		}
 	}
 }
 
 func TestCardClauseCountLimit(t *testing.T) {
-	if _, ok := CardClauseCount(100, 49, CardPairwise, 1<<24); ok {
-		t.Error("C(100,50) fit under 1<<24?")
+	if c, ok := CardClauseCount(10, 3, 1<<24); !ok || c != 3+8*7+1 {
+		t.Errorf("seqcounter count: got %d ok=%v, want 60", c, ok)
 	}
-	if c, ok := CardClauseCount(6, 2, CardPairwise, 1<<24); !ok || c != 20 {
-		t.Errorf("C(6,3): got %d ok=%v, want 20", c, ok)
-	}
-	if c, ok := CardClauseCount(5, 4, CardPairwise, 1<<24); !ok || c != 1 {
-		t.Errorf("C(5,5): got %d ok=%v, want 1", c, ok)
-	}
-	if c, ok := CardClauseCount(10, 3, CardSeqCounter, 1<<24); !ok || c <= 0 {
-		t.Errorf("seqcounter count: got %d ok=%v", c, ok)
-	}
-	if _, ok := CardClauseCount(1<<23, 1<<23-1, CardSeqCounter, 1<<24); ok {
+	if _, ok := CardClauseCount(1<<23, 1<<23-1, 1<<24); ok {
 		t.Error("huge seqcounter fit under limit?")
 	}
 }
 
 // TestArenaMatchesAllocatingDerivation pins the equivalence contract: the
 // arena path must produce exactly the clauses of the package-level functions,
-// in the same order, across gate shapes, encodings, degenerate bounds and
-// guards.
+// in the same order, across gate shapes, degenerate bounds and guards.
 func TestArenaMatchesAllocatingDerivation(t *testing.T) {
 	inputs := []sat.Lit{lit(0, false), lit(1, true), lit(2, false), lit(3, true)}
 	var a Arena
@@ -295,14 +281,12 @@ func TestArenaMatchesAllocatingDerivation(t *testing.T) {
 			}
 		}
 	}
-	for _, enc := range []CardEncoding{CardSeqCounter, CardPairwise} {
-		for _, guard := range []sat.Lit{sat.LitUndef, lit(9, true)} {
-			for k := -1; k <= len(inputs); k++ {
-				want := AtMostK(nil, inputs, k, enc, 20, guard)
-				got := a.AtMostK(inputs, k, enc, 20, guard)
-				if !reflect.DeepEqual(copyClauses(got), want) {
-					t.Fatalf("%v k=%d guard=%v: arena %v vs alloc %v", enc, k, guard, got, want)
-				}
+	for _, guard := range []sat.Lit{sat.LitUndef, lit(9, true)} {
+		for k := -1; k <= len(inputs); k++ {
+			want := AtMostK(nil, inputs, k, 20, guard)
+			got := a.AtMostK(inputs, k, 20, guard)
+			if !reflect.DeepEqual(copyClauses(got), want) {
+				t.Fatalf("k=%d guard=%v: arena %v vs alloc %v", k, guard, got, want)
 			}
 		}
 	}
@@ -321,10 +305,10 @@ func copyClauses(src [][]sat.Lit) [][]sat.Lit {
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	inputs := []sat.Lit{lit(0, false), lit(1, false), lit(2, false), lit(3, false), lit(4, false)}
 	var a Arena
-	a.AtMostK(inputs, 2, CardSeqCounter, 20, lit(9, true))
+	a.AtMostK(inputs, 2, 20, lit(9, true))
 	a.GateClauses(GateAnd, lit(7, false), inputs)
 	if avg := testing.AllocsPerRun(50, func() {
-		a.AtMostK(inputs, 2, CardSeqCounter, 20, lit(9, true))
+		a.AtMostK(inputs, 2, 20, lit(9, true))
 		a.GateClauses(GateAnd, lit(7, false), inputs)
 	}); avg != 0 {
 		t.Errorf("steady-state derivation allocates %.1f times per run, want 0", avg)

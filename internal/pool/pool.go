@@ -14,16 +14,15 @@
 //     whose internal SAT/simplex state therefore cannot be trusted. A
 //     discarded item never re-enters the pool, under any path.
 //
-// Idle items are bounded by a cross-key, size-aware LRU policy: a global
-// recency order spans every key, each item carries a cost sampled from the
-// optional Config.Size hook when it returns, and Returns that push the pool
-// past its per-key, global-count or byte budgets evict the least recently
-// used items (never the one just returned). Every path that removes an item
-// from the pool's accounting — eviction, Reset-failure quarantine, Discard,
-// Drain — invokes the optional Config.Close hook exactly once, outside the
-// pool lock, so owners can release encoder resources deterministically.
+// Idle items are bounded per key: a Return that pushes its key past
+// MaxIdlePerKey evicts that key's least recently used item (never the one
+// just returned). Every path that removes an item from the pool's
+// accounting — eviction, Reset-failure quarantine, Discard, Drain — invokes
+// the optional Config.Close hook exactly once, outside the pool lock, so
+// owners can release encoder resources deterministically.
 //
-// The pool bounds total live encoders (checked-out plus idle). A cold build
+// The pool bounds total live encoders (checked-out plus idle), which also
+// bounds the idle ones. A global recency order spans every key: a cold build
 // at the bound evicts the global LRU idle item to make room, so idle
 // encoders never lock a new key out; only when every live item is leased
 // does Checkout fail fast with ErrExhausted, leaving the caller to decide
@@ -68,31 +67,15 @@ type Config[T any] struct {
 
 	// Close releases an item's resources. Invoked exactly once, outside the
 	// pool lock, on every path that removes an item from the pool's
-	// accounting: LRU/budget eviction, Reset-failure quarantine, Discard,
-	// and Drain. Never invoked for items still idle or leased. Optional;
-	// nil skips the hook.
+	// accounting: LRU eviction, Reset-failure quarantine, Discard, and
+	// Drain. Never invoked for items still idle or leased. Optional; nil
+	// skips the hook.
 	Close func(item T)
-
-	// Size estimates an item's retained cost in bytes for the idle byte
-	// budget. Sampled once, outside the pool lock, as the item returns to
-	// the warm list. Optional; nil charges every item zero bytes, so
-	// MaxIdleBytes never binds.
-	Size func(item T) int64
 
 	// MaxIdlePerKey bounds the warm list per key; a Return past it evicts
 	// that key's least recently used idle item (the returning item stays —
 	// it is the warmest). Default 2.
 	MaxIdlePerKey int
-
-	// MaxIdle bounds idle items across all keys; excess evicts the global
-	// LRU item. Default MaxLive (the live bound already caps idle, so the
-	// default adds no constraint).
-	MaxIdle int
-
-	// MaxIdleBytes bounds the summed Size cost of idle items across all
-	// keys; excess evicts global LRU items until under budget. 0 disables
-	// the byte budget.
-	MaxIdleBytes int64
 
 	// MaxLive bounds live items — checked out plus idle — across all keys;
 	// a cold build at the bound evicts the global LRU idle item. Default 64.
@@ -116,15 +99,11 @@ type Stats struct {
 	// ResetFailures counts returns rejected by the Reset hook (a subset of
 	// Discards).
 	ResetFailures uint64
-	// Evictions counts idle items dropped by the LRU policy (per-key,
-	// global-count or byte budget, or a cold build at the live bound);
-	// EvictedBytes sums their sampled sizes.
-	Evictions    uint64
-	EvictedBytes uint64
+	// Evictions counts idle items dropped by the LRU policy (per-key
+	// bound, or a cold build at the live bound).
+	Evictions uint64
 	// Live and Idle are current gauges: items outstanding or warm.
-	// IdleBytes is the summed sampled cost of the warm items.
 	Live, Idle int
-	IdleBytes  int64
 }
 
 // idleEntry is one warm item: a node in both its key's warm list and the
@@ -132,7 +111,6 @@ type Stats struct {
 type idleEntry[T any] struct {
 	item T
 	key  Key
-	size int64
 
 	older, newer *idleEntry[T]
 }
@@ -149,7 +127,6 @@ type Pool[T any] struct {
 	live int
 
 	idleCount int
-	idleBytes int64
 	stats     Stats
 }
 
@@ -163,9 +140,6 @@ func New[T any](cfg Config[T]) (*Pool[T], error) {
 	}
 	if cfg.MaxLive <= 0 {
 		cfg.MaxLive = 64
-	}
-	if cfg.MaxIdle <= 0 {
-		cfg.MaxIdle = cfg.MaxLive
 	}
 	return &Pool[T]{cfg: cfg, idle: make(map[Key][]*idleEntry[T])}, nil
 }
@@ -214,7 +188,6 @@ func (p *Pool[T]) Checkout(ctx context.Context, key Key) (*Lease[T], error) {
 		}
 		p.unlink(e)
 		p.idleCount--
-		p.idleBytes -= e.size
 		p.stats.Hits++
 		p.mu.Unlock()
 		return &Lease[T]{Item: e.item, key: key, warm: true, pool: p}, nil
@@ -251,9 +224,10 @@ func (p *Pool[T]) Checkout(ctx context.Context, key Key) (*Lease[T], error) {
 // Return puts the leased item back on its key's warm list after the Reset
 // validation. A failed Reset quarantines the item instead (its Close hook
 // runs) — Return never pools an item the Reset hook rejected. Pooling the
-// item may push the idle set past a budget, evicting least-recently-used
-// items (their Close hooks run; the returning item is the warmest and is
-// never the victim). It errors if the lease was already settled.
+// item may push its key past MaxIdlePerKey, evicting the key's least
+// recently used item (its Close hook runs; the returning item is the
+// warmest and is never the victim). It errors if the lease was already
+// settled.
 func (l *Lease[T]) Return() error {
 	if err := l.settle(returned); err != nil {
 		return err
@@ -270,20 +244,12 @@ func (l *Lease[T]) Return() error {
 			return nil // the item is quarantined; the return itself succeeded
 		}
 	}
-	var size int64
-	if p.cfg.Size != nil {
-		size = p.cfg.Size(l.Item)
-		if size < 0 {
-			size = 0
-		}
-	}
-	e := &idleEntry[T]{item: l.Item, key: l.key, size: size}
+	e := &idleEntry[T]{item: l.Item, key: l.key}
 
 	p.mu.Lock()
 	p.idle[l.key] = append(p.idle[l.key], e)
 	p.pushMRU(e)
 	p.idleCount++
-	p.idleBytes += size
 	p.stats.Returns++
 	evicted := p.evictLocked(l.key)
 	p.mu.Unlock()
@@ -294,20 +260,13 @@ func (l *Lease[T]) Return() error {
 	return nil
 }
 
-// evictLocked enforces the idle budgets after a return to key, collecting
-// the victims for the caller to Close outside the lock. Eviction order: the
-// returned key's own LRU while that key is over MaxIdlePerKey, then the
-// global LRU while over MaxIdle or MaxIdleBytes.
+// evictLocked enforces MaxIdlePerKey after a return to key, evicting that
+// key's least recently used items and collecting them for the caller to
+// Close outside the lock.
 func (p *Pool[T]) evictLocked(key Key) []*idleEntry[T] {
 	var victims []*idleEntry[T]
 	for len(p.idle[key]) > p.cfg.MaxIdlePerKey {
 		victims = append(victims, p.removeLocked(p.idle[key][0]))
-	}
-	for p.idleCount > p.cfg.MaxIdle && p.lru != nil {
-		victims = append(victims, p.removeLocked(p.lru))
-	}
-	for p.cfg.MaxIdleBytes > 0 && p.idleBytes > p.cfg.MaxIdleBytes && p.lru != nil {
-		victims = append(victims, p.removeLocked(p.lru))
 	}
 	return victims
 }
@@ -330,10 +289,8 @@ func (p *Pool[T]) removeLocked(e *idleEntry[T]) *idleEntry[T] {
 	}
 	p.unlink(e)
 	p.idleCount--
-	p.idleBytes -= e.size
 	p.live--
 	p.stats.Evictions++
-	p.stats.EvictedBytes += uint64(e.size)
 	return e
 }
 
@@ -405,7 +362,6 @@ func (p *Pool[T]) Stats() Stats {
 	s := p.stats
 	s.Live = p.live
 	s.Idle = p.idleCount
-	s.IdleBytes = p.idleBytes
 	return s
 }
 
@@ -423,7 +379,6 @@ func (p *Pool[T]) Drain() int {
 	p.lru, p.mru = nil, nil
 	p.live -= len(items)
 	p.idleCount = 0
-	p.idleBytes = 0
 	p.mu.Unlock()
 
 	for _, item := range items {

@@ -17,7 +17,6 @@ import (
 type testItem struct {
 	id     int
 	key    Key
-	size   int64
 	inUse  atomic.Bool
 	closed atomic.Int32
 	dirty  bool // set by tests to make Reset fail
@@ -197,7 +196,6 @@ func TestPoolEvictsIdleAtLiveCap(t *testing.T) {
 	p, _ := newTestPool(t, Config[*testItem]{
 		MaxLive: 2,
 		Close:   closeHook,
-		Size:    func(*testItem) int64 { return 100 },
 	})
 	ctx := context.Background()
 	keyB := Key{Topology: "ieee30", Shape: "anystate"}
@@ -222,8 +220,8 @@ func TestPoolEvictsIdleAtLiveCap(t *testing.T) {
 		t.Fatalf("victim closed %d times (%d closes total), want the LRU item A closed once", itemA.closed.Load(), closes.Load())
 	}
 	st := p.Stats()
-	if st.Evictions != 1 || st.EvictedBytes != 100 || st.Live != 2 || st.Idle != 1 {
-		t.Fatalf("stats = %+v, want 1 eviction of 100 bytes, 2 live, 1 idle", st)
+	if st.Evictions != 1 || st.Live != 2 || st.Idle != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction, 2 live, 1 idle", st)
 	}
 	// B is still warm; taking it leaves every live item leased.
 	lb, err = p.Checkout(ctx, keyB)
@@ -361,40 +359,44 @@ func TestPoolTrim(t *testing.T) {
 	}
 }
 
-// TestPoolLRUEvictionOrder checks the recency list spans keys: with a global
-// idle budget of 2, returns across three keys evict in least-recently-used
-// order regardless of key, and byte accounting tracks the survivors.
+// TestPoolLRUEvictionOrder checks the recency list spans keys: at the live
+// cap, cold builds for new keys evict idle items in least-recently-used
+// order regardless of key, and a warm checkout refreshes an item's recency.
 func TestPoolLRUEvictionOrder(t *testing.T) {
 	closeHook, closes, violations := countingClose(t)
 	p, _ := newTestPool(t, Config[*testItem]{
-		MaxIdle: 2,
+		MaxLive: 3,
 		Close:   closeHook,
-		Size:    func(it *testItem) int64 { return it.size },
 	})
 	ctx := context.Background()
 	kb := Key{Topology: "ieee30", Shape: "anystate"}
 	kc := Key{Topology: "ieee57", Shape: "anystate"}
+	kd := Key{Topology: "ieee118", Shape: "anystate"}
+	ke := Key{Topology: "ieee300", Shape: "anystate"}
 
 	la, _ := p.Checkout(ctx, keyA)
 	lb, _ := p.Checkout(ctx, kb)
 	lc, _ := p.Checkout(ctx, kc)
 	a, b, c := la.Item, lb.Item, lc.Item
-	a.size, b.size, c.size = 100, 200, 400
 
 	// Return order a, b, c ⇒ recency order (oldest first) a, b, c. The
-	// third return breaches MaxIdle=2 and must evict a — the global LRU —
-	// even though a, b, c live under three different keys.
+	// cold build for d at the cap must evict a — the global LRU — even
+	// though a, b, c live under three different keys.
 	for _, l := range []*Lease[*testItem]{la, lb, lc} {
 		if err := l.Return(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := p.Stats()
-	if st.Idle != 2 || st.Evictions != 1 || st.EvictedBytes != 100 {
-		t.Fatalf("stats = %+v, want 2 idle, 1 eviction of 100 bytes", st)
+	ld, err := p.Checkout(ctx, kd)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.IdleBytes != 600 {
-		t.Fatalf("IdleBytes = %d, want 600 (b+c)", st.IdleBytes)
+	if err := ld.Return(); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.Idle != 3 || st.Live != 3 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 3 idle, 3 live, 1 eviction", st)
 	}
 	if a.closed.Load() != 1 {
 		t.Fatalf("evicted LRU item not closed")
@@ -403,8 +405,8 @@ func TestPoolLRUEvictionOrder(t *testing.T) {
 		t.Fatalf("survivors were closed")
 	}
 
-	// Touching b (checkout+return) makes c the LRU; the next cross-key
-	// return must evict c.
+	// Touching b (checkout+return) makes c the LRU; the next cold build
+	// must evict c.
 	lb2, err := p.Checkout(ctx, kb)
 	if err != nil || lb2.Item != b {
 		t.Fatalf("checkout(kb) = %v, %v; want warm b", lb2, err)
@@ -412,67 +414,19 @@ func TestPoolLRUEvictionOrder(t *testing.T) {
 	if err := lb2.Return(); err != nil {
 		t.Fatal(err)
 	}
-	ld, _ := p.Checkout(ctx, keyA)
-	d := ld.Item
-	d.size = 50
-	if err := ld.Return(); err != nil {
+	le, err := p.Checkout(ctx, ke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := le.Return(); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()
-	if c.closed.Load() != 1 {
+	if c.closed.Load() != 1 || b.closed.Load() != 0 {
 		t.Fatalf("expected c evicted after b was touched; stats %+v", st)
 	}
-	if st.Evictions != 2 || st.EvictedBytes != 500 || st.IdleBytes != 250 {
-		t.Fatalf("stats = %+v, want 2 evictions (500B) and 250 idle bytes", st)
-	}
-	if closes.Load() != 2 || violations.Load() != 0 {
-		t.Fatalf("closes = %d (violations %d), want exactly 2", closes.Load(), violations.Load())
-	}
-}
-
-// TestPoolByteBudget checks MaxIdleBytes evicts LRU items until the summed
-// sampled cost fits, even when the count budgets are slack.
-func TestPoolByteBudget(t *testing.T) {
-	closeHook, closes, violations := countingClose(t)
-	p, _ := newTestPool(t, Config[*testItem]{
-		MaxIdlePerKey: 8,
-		MaxIdleBytes:  1000,
-		Close:         closeHook,
-		Size:          func(it *testItem) int64 { return it.size },
-	})
-	ctx := context.Background()
-	var (
-		items  []*testItem
-		leases []*Lease[*testItem]
-	)
-	for i := 0; i < 4; i++ {
-		l, err := p.Checkout(ctx, keyA) // distinct cold builds: none returned yet
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Item.size = 400
-		items = append(items, l.Item)
-		leases = append(leases, l)
-	}
-	for _, l := range leases {
-		if err := l.Return(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 4×400 returned against a 1000-byte budget: returns 3 and 4 each
-	// breach it, evicting the LRU (items 0 then 1); 2 and 3 survive.
-	st := p.Stats()
-	if st.IdleBytes != 800 || st.Idle != 2 || st.Evictions != 2 || st.EvictedBytes != 800 {
-		t.Fatalf("stats = %+v, want 2 survivors at 800 idle bytes, 2 evictions", st)
-	}
-	for i, it := range items {
-		want := int32(0)
-		if i < 2 {
-			want = 1
-		}
-		if got := it.closed.Load(); got != want {
-			t.Fatalf("item %d closed %d times, want %d", i, got, want)
-		}
+	if st.Evictions != 2 || st.Idle != 3 {
+		t.Fatalf("stats = %+v, want 2 evictions and 3 idle", st)
 	}
 	if closes.Load() != 2 || violations.Load() != 0 {
 		t.Fatalf("closes = %d (violations %d), want exactly 2", closes.Load(), violations.Load())
@@ -526,7 +480,7 @@ func TestPoolDrain(t *testing.T) {
 		t.Fatalf("drain closed %d items (violations %d), want 2", closes.Load(), violations.Load())
 	}
 	st := p.Stats()
-	if st.Idle != 0 || st.IdleBytes != 0 || st.Live != 2 {
+	if st.Idle != 0 || st.Live != 2 {
 		t.Fatalf("stats after drain = %+v, want idle 0, live 2 (outstanding)", st)
 	}
 	for _, l := range leases[2:] {
@@ -608,16 +562,13 @@ func TestPoolCloseHookDropPaths(t *testing.T) {
 // TestPoolConcurrentLoad hammers checkout/reset/return from many goroutines
 // under -race, asserting lease exclusivity (no item leased twice at once),
 // conservation (live returns to zero, every dropped item closed exactly
-// once) and counter consistency under the LRU budgets.
+// once) and counter consistency under the idle and live bounds.
 func TestPoolConcurrentLoad(t *testing.T) {
 	closeHook, closes, closeViolations := countingClose(t)
 	p, built := newTestPool(t, Config[*testItem]{
 		MaxLive:       8,
 		MaxIdlePerKey: 2,
-		MaxIdle:       4,
-		MaxIdleBytes:  1 << 20,
 		Close:         closeHook,
-		Size:          func(*testItem) int64 { return 1024 },
 	})
 	keys := []Key{
 		{Topology: "ieee14", Shape: "a"},
@@ -687,7 +638,7 @@ func TestPoolConcurrentLoad(t *testing.T) {
 	if got := st.Returns + st.Discards; got != checkouts.Load() {
 		t.Fatalf("settlements %d ≠ checkouts %d (stats %+v)", got, checkouts.Load(), st)
 	}
-	if st.Idle > 4 || st.IdleBytes != int64(st.Idle)*1024 {
+	if st.Idle > 2*len(keys) {
 		t.Fatalf("idle budget breached: %+v", st)
 	}
 	// Builds conserve: every built item is either still idle or was closed

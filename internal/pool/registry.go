@@ -19,8 +19,7 @@ import (
 // Get, Put or GetOrCreate touch counts as use), in O(1) per operation. There
 // is no poisoning path: registry values are pure accumulations of
 // independently verified facts, so a failed run never invalidates them —
-// contrast with Pool.Discard for encoders. A nil *Registry is an always-empty
-// cache: Get misses and Put drops.
+// contrast with Pool.Discard for encoders.
 type Registry[K comparable, V any] struct {
 	mu      sync.Mutex
 	max     int
@@ -54,9 +53,6 @@ func NewRegistry[K comparable, V any](maxEntries int) *Registry[K, V] {
 // Get returns the value registered under key and whether there was one.
 func (r *Registry[K, V]) Get(key K) (V, bool) {
 	var zero V
-	if r == nil {
-		return zero, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	el, ok := r.entries[key]
@@ -71,9 +67,6 @@ func (r *Registry[K, V]) Get(key K) (V, bool) {
 
 // Put registers value under key, replacing any previous value.
 func (r *Registry[K, V]) Put(key K, value V) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.putLocked(key, value)

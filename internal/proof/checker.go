@@ -578,13 +578,10 @@ func (c *checker) applyGateDef(rec *Record, rep *Report) error {
 // register variable must be fresh, for the same soundness reason as gate
 // outputs; the counted literals and the guard are ordinary references.
 func (c *checker) applyCardDef(rec *Record, rep *Report) error {
-	if !rec.Enc.Valid() {
-		return fmt.Errorf("unknown cardinality encoding %d", rec.Enc)
-	}
 	if rec.Var < 0 || rec.Var > maxProofVar {
 		return fmt.Errorf("cardinality register variable %d out of range", rec.Var)
 	}
-	count, ok := cnf.CardClauseCount(len(rec.Lits), rec.K, rec.Enc, maxProofLen)
+	count, ok := cnf.CardClauseCount(len(rec.Lits), rec.K, maxProofLen)
 	if !ok {
 		return fmt.Errorf("cardinality circuit over %d literals with bound %d derives too many clauses", len(rec.Lits), rec.K)
 	}
@@ -597,7 +594,7 @@ func (c *checker) applyCardDef(rec *Record, rep *Report) error {
 	if rec.Guard != sat.LitUndef {
 		c.markSeen(rec.Guard.Var())
 	}
-	nFresh := cnf.CardFreshVars(len(rec.Lits), rec.K, rec.Enc)
+	nFresh := cnf.CardFreshVars(len(rec.Lits), rec.K)
 	if rec.Var+nFresh-1 > maxProofVar {
 		return fmt.Errorf("cardinality circuit registers %d..%d out of range", rec.Var, rec.Var+nFresh-1)
 	}
@@ -606,7 +603,7 @@ func (c *checker) applyCardDef(rec *Record, rep *Report) error {
 			return fmt.Errorf("cardinality register variable %d is not fresh", rec.Var+i)
 		}
 	}
-	clauses := c.arena.AtMostK(rec.Lits, rec.K, rec.Enc, sat.Var(rec.Var), rec.Guard)
+	clauses := c.arena.AtMostK(rec.Lits, rec.K, sat.Var(rec.Var), rec.Guard)
 	for i, cl := range clauses {
 		if err := c.install(rec.ID+uint64(i), cl); err != nil {
 			return err

@@ -2,6 +2,7 @@ package proof
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"segrid/internal/cnf"
@@ -72,8 +73,8 @@ func cardProof(t *testing.T, guard sat.Lit) (*bytes.Buffer, *Writer) {
 	w := NewWriter(&buf)
 	lits := []sat.Lit{sat.PosLit(0), sat.PosLit(1), sat.PosLit(2)}
 	firstFresh := sat.Var(3) // registers 3, 4 = (n−1)·k fresh vars
-	w.DefineCard(cnf.CardSeqCounter, lits, 1, firstFresh, guard)
-	for _, cl := range cnf.AtMostK(nil, lits, 1, cnf.CardSeqCounter, firstFresh, guard) {
+	w.DefineCard(lits, 1, firstFresh, guard)
+	for _, cl := range cnf.AtMostK(nil, lits, 1, firstFresh, guard) {
 		w.LogInput(cl)
 	}
 	w.LogInput([]sat.Lit{lits[0]})
@@ -210,11 +211,11 @@ func TestCheckRejectsNonFreshDefVariables(t *testing.T) {
 		},
 		"card register seen": {
 			{Kind: KindInput, ID: 1, Lits: []sat.Lit{sat.PosLit(3)}},
-			{Kind: KindCardDef, ID: 2, Enc: cnf.CardSeqCounter, K: 1, Var: 3,
+			{Kind: KindCardDef, ID: 2, K: 1, Var: 3,
 				Guard: sat.LitUndef, Lits: []sat.Lit{sat.PosLit(0), sat.PosLit(1), sat.PosLit(2)}},
 		},
 		"card register among inputs": {
-			{Kind: KindCardDef, ID: 1, Enc: cnf.CardSeqCounter, K: 1, Var: 2,
+			{Kind: KindCardDef, ID: 1, K: 1, Var: 2,
 				Guard: sat.LitUndef, Lits: []sat.Lit{sat.PosLit(0), sat.PosLit(1), sat.PosLit(2)}},
 		},
 	}
@@ -264,24 +265,48 @@ func TestCheckAllowsFreshDefVariablesAfterRestart(t *testing.T) {
 }
 
 // TestCheckRejectsOverlargeCardDef: a cardinality record whose derivation
-// would exceed the stream limits (here a pairwise encoding with a
-// combinatorial clause count) must be rejected before any allocation.
+// would exceed the stream limits (here a sequential counter whose n·k
+// clause count passes maxProofLen) must be rejected before any allocation,
+// and a record carrying an encoding byte other than the sequential
+// counter's (the retired pairwise encoding wrote 2) must not decode.
 func TestCheckRejectsOverlargeCardDef(t *testing.T) {
-	n := 4000
+	n := 6000
 	lits := make([]sat.Lit, n)
 	for i := range lits {
 		lits[i] = sat.PosLit(sat.Var(i))
 	}
 	recs := []*Record{
-		{Kind: KindCardDef, ID: 1, Enc: cnf.CardPairwise, K: n / 2, Var: 0,
-			Guard: sat.LitUndef, Lits: lits},
+		{Kind: KindCardDef, ID: 1, K: n / 2, Var: 0, Guard: sat.LitUndef, Lits: lits},
 	}
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Check(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("checker accepted a cardinality definition deriving a combinatorial clause count")
+		t.Fatal("checker accepted a cardinality definition deriving more clauses than a stream may hold")
+	}
+
+	buf.Reset()
+	small := []*Record{
+		{Kind: KindCardDef, ID: 1, K: 1, Var: 3, Guard: sat.LitUndef,
+			Lits: []sat.Lit{sat.PosLit(0), sat.PosLit(1), sat.PosLit(2)}},
+	}
+	if err := WriteAll(&buf, small); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// Stream layout: magic, kind byte, uvarint ID (one byte for 1), then
+	// the encoding byte.
+	enc := len(magic) + 2
+	if raw[enc] != cardSeqCounter {
+		t.Fatalf("encoding byte at offset %d = %d, want %d", enc, raw[enc], cardSeqCounter)
+	}
+	raw[enc] = 2
+	if _, err := ReadAll(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unknown cardinality encoding 2") {
+		t.Fatalf("reader on a pairwise CardDef = %v, want an unknown-encoding error", err)
+	}
+	if _, err := Check(bytes.NewReader(raw)); err == nil {
+		t.Fatal("checker accepted a pairwise CardDef")
 	}
 }
 
@@ -289,9 +314,9 @@ func TestRecordRoundTripDefinitions(t *testing.T) {
 	recs := []*Record{
 		{Kind: KindGateDef, ID: 1, Gate: cnf.GateAnd, Var: 7, Lits: []sat.Lit{sat.PosLit(0), sat.NegLit(1)}},
 		{Kind: KindGateDef, ID: 4, Gate: cnf.GateTrue, Var: 8},
-		{Kind: KindCardDef, ID: 5, Enc: cnf.CardSeqCounter, K: 2, Var: 9,
+		{Kind: KindCardDef, ID: 5, K: 2, Var: 9,
 			Guard: sat.NegLit(3), Lits: []sat.Lit{sat.PosLit(0), sat.PosLit(1), sat.PosLit(2)}},
-		{Kind: KindCardDef, ID: 13, Enc: cnf.CardPairwise, K: 1, Var: 0,
+		{Kind: KindCardDef, ID: 13, K: 1, Var: 0,
 			Guard: sat.LitUndef, Lits: []sat.Lit{sat.PosLit(4), sat.PosLit(5)}},
 	}
 	var buf bytes.Buffer
@@ -307,7 +332,7 @@ func TestRecordRoundTripDefinitions(t *testing.T) {
 	}
 	for i, g := range got {
 		w := recs[i]
-		if g.Kind != w.Kind || g.ID != w.ID || g.Gate != w.Gate || g.Enc != w.Enc ||
+		if g.Kind != w.Kind || g.ID != w.ID || g.Gate != w.Gate ||
 			g.K != w.K || g.Var != w.Var || g.Guard != w.Guard {
 			t.Errorf("record %d: got %+v, want %+v", i, g, w)
 		}

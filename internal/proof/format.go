@@ -91,8 +91,8 @@ const (
 	// the output variable is fresh (a definitional extension must not
 	// constrain existing variables).
 	KindGateDef
-	// KindCardDef records the provenance of a cardinality circuit asserting
-	// Σ Lits ≤ K under encoding Enc, with Var the first of the circuit's
+	// KindCardDef records the provenance of a sequential-counter cardinality
+	// circuit asserting Σ Lits ≤ K, with Var the first of the circuit's
 	// consecutive fresh register variables and Guard the scope guard literal
 	// (LitUndef when unguarded). Like KindGateDef it claims ID … ID+n−1 and
 	// serializes no clauses; the checker re-derives them and requires every
@@ -162,9 +162,6 @@ type Record struct {
 	// Gate is the Tseitin gate shape (GateDef).
 	Gate cnf.Gate
 
-	// Enc is the cardinality encoding (CardDef).
-	Enc cnf.CardEncoding
-
 	// K is the cardinality bound (CardDef); it may be negative, in which
 	// case the circuit is the single (guarded) empty clause.
 	K int
@@ -185,6 +182,11 @@ type Record struct {
 	// Check is the 1-based index of an Unsat record within the stream.
 	Check uint64
 }
+
+// cardSeqCounter is the CardDef encoding byte of the sequential counter,
+// the one encoding the cnf kernel derives. The byte stays on the wire so
+// format-2 streams keep their layout; any other value is rejected.
+const cardSeqCounter byte = 1
 
 // Rational wire tags: a machine-word rational travels as two varints, a
 // promoted big.Rat falls back to its canonical RatString text.
@@ -271,7 +273,7 @@ func (e *encoder) record(r *Record) {
 		}
 	case KindCardDef:
 		e.uvarint(r.ID)
-		e.byte(byte(r.Enc))
+		e.byte(cardSeqCounter)
 		e.varint(int64(r.K))
 		e.uvarint(uint64(r.Var))
 		e.lit(r.Guard)
@@ -418,8 +420,7 @@ func (r *Reader) Next() (*Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("proof: truncated record: %w", io.ErrUnexpectedEOF)
 		}
-		rec.Enc = cnf.CardEncoding(en)
-		if !rec.Enc.Valid() {
+		if en != cardSeqCounter {
 			return nil, fmt.Errorf("proof: unknown cardinality encoding %d", en)
 		}
 		k, err := binary.ReadVarint(r.br)

@@ -58,8 +58,8 @@ func FuzzProof(f *testing.F) {
 	fuzzSeed(f, func(w *proof.Writer) { // guarded cardinality circuit
 		lits := []sat.Lit{sat.PosLit(0), sat.PosLit(1), sat.PosLit(2)}
 		guard := sat.NegLit(9)
-		w.DefineCard(cnf.CardSeqCounter, lits, 1, 3, guard)
-		for _, cl := range cnf.AtMostK(nil, lits, 1, cnf.CardSeqCounter, 3, guard) {
+		w.DefineCard(lits, 1, 3, guard)
+		for _, cl := range cnf.AtMostK(nil, lits, 1, 3, guard) {
 			w.LogInput(cl)
 		}
 		w.LogInput([]sat.Lit{lits[0]})

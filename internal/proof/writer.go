@@ -165,21 +165,21 @@ func (w *Writer) DefineGate(gate cnf.Gate, out sat.Var, inputs []sat.Lit) {
 	}
 }
 
-// DefineCard records the provenance of a cardinality circuit Σ lits ≤ k
-// under enc, with firstFresh the first of its consecutive register variables
-// and guard the scope guard (sat.LitUndef when unguarded). Bounds that emit
-// no clauses (k ≥ len(lits)) are not recorded, mirroring the encoder.
-func (w *Writer) DefineCard(enc cnf.CardEncoding, lits []sat.Lit, k int, firstFresh sat.Var, guard sat.Lit) {
+// DefineCard records the provenance of a cardinality circuit Σ lits ≤ k,
+// with firstFresh the first of its consecutive register variables and guard
+// the scope guard (sat.LitUndef when unguarded). Bounds that emit no clauses
+// (k ≥ len(lits)) are not recorded, mirroring the encoder.
+func (w *Writer) DefineCard(lits []sat.Lit, k int, firstFresh sat.Var, guard sat.Lit) {
 	var clauses [][]sat.Lit
 	if w.pendingOff == len(w.pending) {
-		clauses = w.kernelArena().AtMostK(lits, k, enc, firstFresh, guard)
+		clauses = w.kernelArena().AtMostK(lits, k, firstFresh, guard)
 	} else {
-		clauses = cnf.AtMostK(nil, lits, k, enc, firstFresh, guard)
+		clauses = cnf.AtMostK(nil, lits, k, firstFresh, guard)
 	}
 	if len(clauses) == 0 {
 		return
 	}
-	w.emit(&Record{Kind: KindCardDef, ID: w.nextID + 1, Enc: enc, K: k, Var: int(firstFresh), Guard: guard, Lits: lits})
+	w.emit(&Record{Kind: KindCardDef, ID: w.nextID + 1, K: k, Var: int(firstFresh), Guard: guard, Lits: lits})
 	w.expect(clauses)
 }
 

@@ -53,13 +53,10 @@ type Stats struct {
 // Options configure a Solver.
 type Options struct {
 	// Theory, if non-nil, is consulted for literals registered with
-	// WatchTheoryVar (DPLL(T) integration).
+	// WatchTheoryVar (DPLL(T) integration). Theory.Check runs after every
+	// unit-propagation fixpoint, not only on full assignments: the eager
+	// integration the paper's Z3 backend uses.
 	Theory Theory
-	// CheckAtFixpoint makes the solver call Theory.Check after every unit
-	// propagation fixpoint rather than only on full assignments. This is
-	// the eager integration the paper's Z3 backend uses; disabling it is an
-	// ablation knob.
-	CheckAtFixpoint bool
 	// MaxConflicts bounds the search; ≤ 0 means unlimited.
 	MaxConflicts int64
 	// MaxPropagations bounds unit propagations; ≤ 0 means unlimited.
@@ -910,7 +907,7 @@ func (s *Solver) SolveAssuming(assumps ...Lit) (Status, error) {
 				}
 				continue
 			}
-			if s.opts.Theory != nil && s.opts.CheckAtFixpoint {
+			if s.opts.Theory != nil {
 				s.stats.TheoryChecks++
 				expl, err := s.opts.Theory.Check(false)
 				if err != nil {

@@ -33,10 +33,6 @@ type VerifyRequest struct {
 	// inconclusive, never a guessed verdict.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 
-	// FreshEncode skips the warm pool and builds a throwaway encoder with
-	// FreshPerCheck semantics — the differential-testing escape hatch.
-	FreshEncode bool `json:"freshEncode,omitempty"`
-
 	// Proof requests an UNSAT certificate when the attack is infeasible.
 	// Proof-producing checks always run on a fresh encoder (a certificate
 	// stream captures a solver's whole lifetime, which is incompatible with
@@ -48,8 +44,8 @@ type VerifyRequest struct {
 	// Screen overrides the server's LP-relaxation screening default for
 	// this request: true runs the screen even on a server with screening
 	// off, false forces the full SMT pipeline (the ablation switch), nil
-	// keeps the server configuration. Proof and freshEncode requests are
-	// never screened — both explicitly ask for solver artifacts.
+	// keeps the server configuration. Proof requests are never screened —
+	// they explicitly ask for solver artifacts.
 	Screen *bool `json:"screen,omitempty"`
 }
 

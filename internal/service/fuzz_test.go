@@ -35,7 +35,7 @@ func FuzzSweepRequest(f *testing.F) {
 		// planSweep reads only the configuration and the spec registry, so
 		// a bare Service plans without starting a scheduler.
 		s := &Service{cfg: Config{}.withDefaults()}
-		groups, herr := s.planSweep(&req, false, false)
+		groups, herr := s.planSweep(&req, false)
 		if herr != nil {
 			if herr.status != http.StatusBadRequest {
 				t.Fatalf("plan rejected with %d: %s", herr.status, herr.msg)

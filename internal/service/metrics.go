@@ -118,10 +118,8 @@ type Metrics struct {
 		Discards      uint64 `json:"discards"`
 		ResetFailures uint64 `json:"resetFailures"`
 		Evictions     uint64 `json:"evictions"`
-		EvictedBytes  uint64 `json:"evictedBytes"`
 		Live          int    `json:"live"`
 		Idle          int    `json:"idle"`
-		IdleBytes     int64  `json:"idleBytes"`
 	} `json:"pool"`
 }
 
@@ -172,9 +170,7 @@ func (m *metrics) snapshot(ps pool.Stats, ss sched.Stats, rs pool.RegistryStats)
 	out.Pool.Discards = ps.Discards
 	out.Pool.ResetFailures = ps.ResetFailures
 	out.Pool.Evictions = ps.Evictions
-	out.Pool.EvictedBytes = ps.EvictedBytes
 	out.Pool.Live = ps.Live
 	out.Pool.Idle = ps.Idle
-	out.Pool.IdleBytes = ps.IdleBytes
 	return out
 }

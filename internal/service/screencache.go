@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 
-	"segrid/internal/core"
-	"segrid/internal/pool"
 	"segrid/internal/scenariofile"
 )
 
@@ -22,18 +20,9 @@ import (
 // Only clean outcomes are cached: a screen that errored or ran under an
 // already-expired context tells us nothing about the instance.
 
-// newScreenCache builds the cache bounded to capacity entries; 0 selects
-// the default of 1024, negative disables caching (a nil registry misses
-// every lookup and drops every store).
-func newScreenCache(capacity int) *pool.Registry[string, *core.Result] {
-	if capacity < 0 {
-		return nil
-	}
-	if capacity == 0 {
-		capacity = 1024
-	}
-	return pool.NewRegistry[string, *core.Result](capacity)
-}
+// screenCacheEntries bounds the screen-verdict cache; past it the least
+// recently used verdict is evicted.
+const screenCacheEntries = 1024
 
 // screenCacheKey canonicalizes one screened instance. The spec is
 // re-marshaled exactly like poolKey does; the overlay rides along so that

@@ -81,14 +81,11 @@ type Config struct {
 	// ProofDir enables certificate production and checking; empty disables
 	// the proof features. The directory must exist.
 	ProofDir string
-	// PoolMaxLive / PoolMaxIdlePerKey / PoolMaxIdle / PoolMaxIdleBytes size
-	// the warm-encoder pool and its cross-key LRU idle budgets (see
-	// pool.Config). Zero: pool defaults (PoolMaxIdleBytes zero disables the
-	// byte budget).
+	// PoolMaxLive / PoolMaxIdlePerKey size the warm-encoder pool: the live
+	// encoder cap, which is also the memory bound, and the warm encoders
+	// kept per key (see pool.Config). Zero: pool defaults.
 	PoolMaxLive       int
 	PoolMaxIdlePerKey int
-	PoolMaxIdle       int
-	PoolMaxIdleBytes  int64
 	// MaxSweepItems bounds the item count of one /v1/sweep request
 	// (default 256). Each encoder-compatibility group is its own scheduler
 	// unit, so a large sweep interleaves with other requests; the cap
@@ -114,11 +111,6 @@ type Config struct {
 	// Inconclusive screens fall through unchanged. Requests override it
 	// with their "screen" field.
 	Screen bool
-	// ScreenCacheSize bounds the screen-verdict LRU cache: screening
-	// outcomes are memoized across requests keyed by (topology, goal,
-	// bounds) and consulted before an item's LP screen runs. 0 selects the
-	// default of 1024 entries; negative disables the cache.
-	ScreenCacheSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -176,7 +168,7 @@ type Service struct {
 	cfg      Config
 	pool     *pool.Pool[*warmModel]
 	sched    *sched.Scheduler
-	screens  *pool.Registry[string, *core.Result]         // screen verdicts keyed by instance (nil: disabled)
+	screens  *pool.Registry[string, *core.Result]         // screen verdicts keyed by instance
 	supports *pool.Registry[pool.Key, *synth.SupportPool] // cube supports keyed by attack model
 	specs    sync.Map                                     // pool.Key → *scenariofile.AttackSpec
 	m        metrics
@@ -189,19 +181,16 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		sched:    sched.New(sched.Config{Workers: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue, QueueWait: cfg.QueueWait}),
-		screens:  newScreenCache(cfg.ScreenCacheSize),
+		screens:  pool.NewRegistry[string, *core.Result](screenCacheEntries),
 		supports: pool.NewRegistry[pool.Key, *synth.SupportPool](0),
 		start:    time.Now(),
 	}
 	p, err := pool.New(pool.Config[*warmModel]{
 		MaxLive:       cfg.PoolMaxLive,
 		MaxIdlePerKey: cfg.PoolMaxIdlePerKey,
-		MaxIdle:       cfg.PoolMaxIdle,
-		MaxIdleBytes:  cfg.PoolMaxIdleBytes,
 		New:           s.buildModel,
 		Reset:         resetModel,
 		Close:         s.closeModel,
-		Size:          modelSize,
 	})
 	if err != nil {
 		return nil, err
@@ -255,17 +244,6 @@ func (s *Service) closeModel(wm *warmModel) {
 	wm.spec = nil
 }
 
-// modelSize is the pool's cost hook for the idle byte budget: heap bytes
-// allocated by the encoder's last encode+solve, a deliberate over-estimate
-// of retained size (allocation includes transient solve garbage) that scales
-// with case size, which is what a relative eviction budget needs.
-func modelSize(wm *warmModel) int64 {
-	if wm.model == nil {
-		return 0
-	}
-	return int64(wm.model.Solver().LastStats().AllocBytes)
-}
-
 // Handler returns the service's HTTP routes.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -312,7 +290,7 @@ func (s *Service) Verify(ctx context.Context, req *VerifyRequest) (*VerifyRespon
 
 // Sweep answers one batched sweep in-process (see Verify).
 func (s *Service) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
-	resp, herr := s.sweep(ctx, req, false, false)
+	resp, herr := s.sweep(ctx, req, false)
 	if herr != nil {
 		return nil, fmt.Errorf("sweep: %s (http %d)", herr.msg, herr.status)
 	}
@@ -441,7 +419,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	resp, herr := s.sweep(ctx, &req, false, false)
+	resp, herr := s.sweep(ctx, &req, false)
 	if herr != nil {
 		s.writeFailure(w, herr)
 		return

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"segrid/internal/core"
 	"segrid/internal/faultinject"
 	"segrid/internal/scenariofile"
 )
@@ -101,17 +102,52 @@ func TestVerifyWarmReuseAndScopedOverlay(t *testing.T) {
 	}
 }
 
-// TestVerifyFreshEncodeMatchesWarm is the service-level differential check:
-// the fresh-per-check path must agree with the warm incremental path.
-func TestVerifyFreshEncodeMatchesWarm(t *testing.T) {
+// TestVerifyWarmMatchesCoreVerify is the service-level differential check:
+// answers from one warm pooled encoder under scoped overlays must agree with
+// core.Verify on a new model that folds the same protections into the
+// scenario — the one-shot path proof verifies and ufdiverify take.
+func TestVerifyWarmMatchesCoreVerify(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
-	warm := verifyOn(t, srv, VerifyRequest{Attack: obj2Spec(), SecuredMeasurements: []int{46}})
-	fresh := verifyOn(t, srv, VerifyRequest{Attack: obj2Spec(), SecuredMeasurements: []int{46}, FreshEncode: true})
-	if warm.Status != fresh.Status {
-		t.Fatalf("warm says %s, fresh says %s", warm.Status, fresh.Status)
+	cases := []struct{ buses, meas []int }{
+		{},
+		{meas: []int{46}},
+		{buses: []int{12}},
+		{buses: []int{6}, meas: []int{46}},
+		{buses: []int{1, 3, 6, 8, 9}},
+		{},
 	}
-	if fresh.Warm {
-		t.Fatalf("freshEncode answered from the warm pool")
+	verdicts := map[string]int{}
+	for i, c := range cases {
+		got := verifyOn(t, srv, VerifyRequest{Attack: obj2Spec(), SecuredBuses: c.buses, SecuredMeasurements: c.meas})
+		if got.Warm != (i > 0) {
+			t.Fatalf("case %d: warm = %v, want a cold first request and warm reuse after", i, got.Warm)
+		}
+		spec := obj2Spec()
+		spec.Secured = c.meas
+		sc, err := spec.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range c.buses {
+			if err := sc.Meas.SecureBus(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := core.Verify(sc)
+		if err != nil || ref.Inconclusive {
+			t.Fatalf("case %d: reference verify = %+v, %v", i, ref, err)
+		}
+		want := "infeasible"
+		if ref.Feasible {
+			want = "feasible"
+		}
+		if got.Status != want {
+			t.Fatalf("case %d (buses %v, measurements %v): warm says %s, core.Verify says %s", i, c.buses, c.meas, got.Status, want)
+		}
+		verdicts[want]++
+	}
+	if verdicts["feasible"] == 0 || verdicts["infeasible"] == 0 {
+		t.Fatalf("verdicts %v: the cases must exercise both answers", verdicts)
 	}
 }
 
@@ -399,8 +435,10 @@ func TestRequestValidation(t *testing.T) {
 
 	for _, body := range []string{
 		`{"attack": {"case": "ieee14"}, "bogus": 1}`,
-		// The portfolio option is gone; strict decoding must refuse it.
+		// The portfolio and freshEncode options are gone; strict decoding
+		// must refuse them.
 		`{"attack": {"case": "ieee14", "anyState": true}, "securedBuses": [1, 3, 6, 8, 9], "portfolio": 3}`,
+		`{"attack": {"case": "ieee14", "anyState": true}, "freshEncode": true}`,
 	} {
 		resp, err := srv.Client().Post(srv.URL+"/v1/verify", "application/json", strings.NewReader(body))
 		if err != nil {

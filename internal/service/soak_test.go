@@ -125,12 +125,10 @@ func TestSoakVerifySweep(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				it := items[(w+i)%len(items)]
 				req := it.req
-				// Vary the robustness surface: some requests bypass the
-				// pool, some want certificates, some carry hopeless
-				// deadlines.
+				// Vary the robustness surface: some requests want
+				// certificates (and so run on a fresh encoder), some carry
+				// hopeless deadlines.
 				switch (w*iters + i) % 7 {
-				case 1:
-					req.FreshEncode = true
 				case 2:
 					req.Proof = true
 				case 3:

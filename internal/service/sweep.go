@@ -39,7 +39,7 @@ type sweepGroup struct {
 	key  pool.Key
 	spec *scenariofile.AttackSpec // effective spec the group's encoder is built from
 	// fresh runs every item on a throwaway encoder: a key-hash collision,
-	// or a proof/freshEncode verify. proof streams each item's certificate.
+	// or a proof verify. proof streams each item's certificate.
 	fresh, proof bool
 	items        []plannedItem
 }
@@ -52,11 +52,11 @@ type plannedItem struct {
 }
 
 // planSweep validates the request and partitions its items into groups,
-// preserving first-occurrence order; fresh and proof mark every group (see
-// sweepGroup). All validation happens here, before any solving: a
-// malformed item fails the whole sweep with 400 instead of surfacing
-// mid-batch.
-func (s *Service) planSweep(req *SweepRequest, fresh, proof bool) ([]*sweepGroup, *handlerError) {
+// preserving first-occurrence order; proof marks every group fresh and
+// proof-streaming (see sweepGroup). All validation happens here, before
+// any solving: a malformed item fails the whole sweep with 400 instead of
+// surfacing mid-batch.
+func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *handlerError) {
 	if len(req.Items) == 0 {
 		return nil, &handlerError{http.StatusBadRequest, "sweep has no items"}
 	}
@@ -86,7 +86,7 @@ func (s *Service) planSweep(req *SweepRequest, fresh, proof bool) ([]*sweepGroup
 		if !ok || collided {
 			// Collision groups are never merged: each collided item runs on
 			// its own throwaway encoder.
-			g = &sweepGroup{key: key, spec: eff, fresh: fresh || collided, proof: proof}
+			g = &sweepGroup{key: key, spec: eff, fresh: proof || collided, proof: proof}
 			if !collided {
 				byKey[key] = g
 			}
@@ -169,15 +169,15 @@ func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.Att
 	return eff, ov, nil
 }
 
-// sweep plans and executes one sweep request (fresh and proof as in
-// planSweep): planning runs on the request goroutine, then each group
-// becomes one scheduler work unit costed by its item count, which screens
-// and checks the group's items. Group units from one sweep run
-// concurrently when workers are free and interleave with other requests'
-// units under the fairness policy. Fresh-mode requests explicitly ask for
-// solver artifacts and are never screened.
-func (s *Service) sweep(ctx context.Context, req *SweepRequest, fresh, proof bool) (*SweepResponse, *handlerError) {
-	groups, herr := s.planSweep(req, fresh, proof)
+// sweep plans and executes one sweep request (proof as in planSweep):
+// planning runs on the request goroutine, then each group becomes one
+// scheduler work unit costed by its item count, which screens and checks
+// the group's items. Group units from one sweep run concurrently when
+// workers are free and interleave with other requests' units under the
+// fairness policy. Proof requests explicitly ask for solver artifacts and
+// are never screened.
+func (s *Service) sweep(ctx context.Context, req *SweepRequest, proof bool) (*SweepResponse, *handlerError) {
+	groups, herr := s.planSweep(req, proof)
 	if herr != nil {
 		return nil, herr
 	}
@@ -185,7 +185,7 @@ func (s *Service) sweep(ctx context.Context, req *SweepRequest, fresh, proof boo
 		Items:  make([]*VerifyResponse, len(req.Items)),
 		Groups: len(groups),
 	}
-	screen := s.screenEnabled(req.Screen) && !fresh
+	screen := s.screenEnabled(req.Screen) && !proof
 	var builds atomic.Int64
 	units := make([]unit, len(groups))
 	for i, g := range groups {

@@ -22,15 +22,15 @@ import (
 // request's secured buses and measurements are the item's overlay on its
 // attack spec, so it runs through the same planner, screening tier and
 // group executor (with its warm→fresh retry ladder) as every /v1/sweep
-// item. Proof and freshEncode requests plan onto a fresh-encoder group and
-// are never screened: both explicitly ask for solver artifacts.
+// item. Proof requests plan onto a fresh-encoder group and are never
+// screened: they explicitly ask for solver artifacts.
 func (s *Service) verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, *handlerError) {
 	one := &SweepRequest{
 		Attack: req.Attack,
 		Items:  []SweepItem{{SecuredBuses: req.SecuredBuses, SecuredMeasurements: req.SecuredMeasurements}},
 		Screen: req.Screen,
 	}
-	resp, herr := s.sweep(ctx, one, req.Proof || req.FreshEncode, req.Proof)
+	resp, herr := s.sweep(ctx, one, req.Proof)
 	if herr != nil {
 		// The planner names the failing item; a verify has only the one.
 		return nil, &handlerError{herr.status, strings.TrimPrefix(herr.msg, "sweep item 0: ")}
@@ -98,8 +98,8 @@ func (s *Service) checkModel(ctx context.Context, m *core.Model) (*core.Result, 
 	return m.CheckContext(ctx)
 }
 
-// verifyFresh answers one item of g on a throwaway FreshPerCheck encoder —
-// fresh groups, pool exhaustion, and the retry ladder's trustworthy rung —
+// verifyFresh answers one item of g on a throwaway encoder — fresh groups,
+// pool exhaustion, and the retry ladder's trustworthy rung —
 // optionally streaming an UNSAT certificate to a per-request atomic file.
 // Each call is a cold build, counted into builds. Failures that are not a
 // scenario verdict answer inconclusive.
@@ -110,7 +110,6 @@ func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, r
 		return itemFailure(err.Error())
 	}
 	opts := smt.DefaultOptions()
-	opts.FreshPerCheck = true
 	opts.Budget = s.cfg.Budget
 	var dec faultinject.Decision
 	if s.cfg.Faults != nil {

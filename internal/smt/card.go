@@ -35,23 +35,18 @@ func (e *encoder) assertCard(cc cardConstraint) error {
 	return nil
 }
 
-// atMostK encodes Σ lits ≤ k through the shared cnf kernel (sequential
-// counter by default, pairwise under the NaiveCardinality ablation). Unlike
-// Tseitin definitions, the counting clauses are one-directional constraints
-// over the input literals, so every clause carries the current scope's
-// negated selector as a guard and stops binding once the scope is popped.
-// The circuit's provenance (inputs, bound, encoding, first register
-// variable, guard) is logged; the proof writer swallows the clauses after
-// matching them against the same kernel derivation.
+// atMostK encodes Σ lits ≤ k through the shared cnf kernel's sequential
+// counter. Unlike Tseitin definitions, the counting clauses are
+// one-directional constraints over the input literals, so every clause
+// carries the current scope's negated selector as a guard and stops binding
+// once the scope is popped. The circuit's provenance (inputs, bound, first
+// register variable, guard) is logged; the proof writer swallows the
+// clauses after matching them against the same kernel derivation.
 func (e *encoder) atMostK(lits []sat.Lit, k int) {
-	enc := cnf.CardSeqCounter
-	if e.owner.opts.NaiveCardinality {
-		enc = cnf.CardPairwise
-	}
 	// Registers are allocated upfront and contiguously; the certificate
 	// names only the first.
 	firstFresh := sat.Var(0)
-	if n := cnf.CardFreshVars(len(lits), k, enc); n > 0 {
+	if n := cnf.CardFreshVars(len(lits), k); n > 0 {
 		firstFresh = e.sat.NewVar()
 		for i := 1; i < n; i++ {
 			e.sat.NewVar()
@@ -62,9 +57,9 @@ func (e *encoder) atMostK(lits []sat.Lit, k int) {
 		guard = e.curSel.Not()
 	}
 	if w := e.owner.opts.Proof; w != nil {
-		w.DefineCard(enc, lits, k, firstFresh, guard)
+		w.DefineCard(lits, k, firstFresh, guard)
 	}
-	for _, cl := range e.defArena.AtMostK(lits, k, enc, firstFresh, guard) {
+	for _, cl := range e.defArena.AtMostK(lits, k, firstFresh, guard) {
 		e.mustAdd(cl...)
 	}
 }

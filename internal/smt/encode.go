@@ -149,9 +149,8 @@ func newEncoder(owner *Solver) *encoder {
 	e := &encoder{
 		owner: owner,
 		sat: sat.NewSolver(sat.Options{
-			Theory:          theory,
-			CheckAtFixpoint: owner.opts.TheoryCheckAtFixpoint,
-			Proof:           plog,
+			Theory: theory,
+			Proof:  plog,
 		}),
 		simplex:    simplex,
 		theory:     theory,

@@ -181,7 +181,7 @@ func TestAtMostZeroAndNegative(t *testing.T) {
 
 func TestMaxConflictsBudget(t *testing.T) {
 	opts := DefaultOptions()
-	opts.MaxConflicts = 1
+	opts.Budget.MaxConflicts = 1
 	s := NewSolver(opts)
 	// Pigeonhole 4→3: needs more than one conflict.
 	const holes = 3

@@ -176,6 +176,85 @@ func TestDifferentialIncrementalVsFresh(t *testing.T) {
 	}
 }
 
+// TestFreshPerCheckNoOpOnFirstCheck pins why one-shot callers (a service
+// proof verify, ufdiverify) never need FreshPerCheck: on a new solver that
+// is checked once, the option changes nothing. Random scripts (asserts,
+// cardinality constraints, open scopes) run once on a solver with the
+// option and once without; the check must agree on every Stats counter and
+// write a byte-identical proof stream.
+func TestFreshPerCheckNoOpOnFirstCheck(t *testing.T) {
+	const nBool, nReal, scripts, opsPerScript = 5, 3, 30, 25
+	rng := rand.New(rand.NewSource(4471))
+	statuses := map[Status]int{}
+	for script := 0; script < scripts; script++ {
+		var incBuf, freshBuf bytes.Buffer
+		incOpts := DefaultOptions()
+		incOpts.Proof = proof.NewWriter(&incBuf)
+		freshOpts := DefaultOptions()
+		freshOpts.FreshPerCheck = true
+		freshOpts.Proof = proof.NewWriter(&freshBuf)
+		inc := NewSolver(incOpts)
+		fresh := NewSolver(freshOpts)
+		boolVars := make([]BoolVar, nBool)
+		for i := range boolVars {
+			boolVars[i] = inc.BoolVar("b")
+			fresh.BoolVar("b")
+		}
+		realVars := make([]RealVar, nReal)
+		for i := range realVars {
+			realVars[i] = inc.RealVar("x")
+			fresh.RealVar("x")
+		}
+		for op := 0; op < opsPerScript; op++ {
+			switch r := rng.Intn(10); {
+			case r < 7:
+				f := randFormula(rng, inc, boolVars, realVars, 2)
+				inc.Assert(f)
+				fresh.Assert(f)
+			case r < 9:
+				n := 2 + rng.Intn(3)
+				fs := make([]Formula, n)
+				for i := range fs {
+					fs[i] = randFormula(rng, inc, boolVars, realVars, 1)
+				}
+				k := rng.Intn(n)
+				inc.AssertAtMostK(fs, k)
+				fresh.AssertAtMostK(fs, k)
+			default:
+				inc.Push()
+				fresh.Push()
+			}
+		}
+		ri, err := inc.Check()
+		if err != nil {
+			t.Fatalf("script %d: Check: %v", script, err)
+		}
+		rf, err := fresh.Check()
+		if err != nil {
+			t.Fatalf("script %d: FreshPerCheck Check: %v", script, err)
+		}
+		si, sf := ri.Stats, rf.Stats
+		si.AllocBytes, sf.AllocBytes = 0, 0
+		si.Duration, sf.Duration = 0, 0
+		if ri.Status != rf.Status || si != sf {
+			t.Fatalf("script %d: %v %+v without the option, %v %+v with it", script, ri.Status, si, rf.Status, sf)
+		}
+		statuses[ri.Status]++
+		if err := incOpts.Proof.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := freshOpts.Proof.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(incBuf.Bytes(), freshBuf.Bytes()) {
+			t.Fatalf("script %d: proof streams differ (%d vs %d bytes)", script, incBuf.Len(), freshBuf.Len())
+		}
+	}
+	if statuses[Sat] == 0 || statuses[Unsat] == 0 {
+		t.Fatalf("statuses %v: the scripts must reach both verdicts", statuses)
+	}
+}
+
 // TestProofCertificatesOnRandomScripts replays random assert/push/pop/check
 // scripts with proof logging enabled on both the persistent and the
 // FreshPerCheck twin. Every Unsat must come back with a certificate handle
@@ -564,21 +643,19 @@ func TestInterruptedCheckResumesEncoding(t *testing.T) {
 	}
 }
 
-// TestDefinitionalDifferentialAblations runs a fixed unsat script under every
-// encoder configuration that changes the definitional clause stream —
-// sequential-counter vs pairwise cardinality, persistent vs FreshPerCheck —
-// and requires byte-identical agreement between the encoder's clauses and the
-// cnf kernel (zero writer mismatches) and between the provenance records and
-// the checker's re-derivation (report count equals swallowed count).
+// TestDefinitionalDifferentialAblations runs a fixed unsat script under both
+// encoder configurations that change the definitional clause stream —
+// persistent vs FreshPerCheck — and requires byte-identical agreement
+// between the encoder's clauses and the cnf kernel (zero writer mismatches)
+// and between the provenance records and the checker's re-derivation
+// (report count equals swallowed count).
 func TestDefinitionalDifferentialAblations(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		tweak func(*Options)
 	}{
 		{"default", func(*Options) {}},
-		{"pairwise", func(o *Options) { o.NaiveCardinality = true }},
 		{"fresh", func(o *Options) { o.FreshPerCheck = true }},
-		{"fresh-pairwise", func(o *Options) { o.FreshPerCheck = true; o.NaiveCardinality = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

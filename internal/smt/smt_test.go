@@ -186,45 +186,41 @@ func TestSharedSlackAcrossAtoms(t *testing.T) {
 }
 
 func TestAtMostK(t *testing.T) {
-	for _, naive := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.NaiveCardinality = naive
-		for n := 1; n <= 5; n++ {
-			for k := 0; k <= n; k++ {
-				for forced := 0; forced <= n; forced++ {
-					s := NewSolver(opts)
-					vars := make([]BoolVar, n)
-					fs := make([]Formula, n)
-					for i := range vars {
-						vars[i] = s.BoolVar("v")
-						fs[i] = B(vars[i])
-					}
-					for i := 0; i < forced; i++ {
-						s.Assert(B(vars[i]))
-					}
-					s.AssertAtMostK(fs, k)
-					want := Sat
-					if forced > k {
-						want = Unsat
-					}
-					res, err := s.Check()
-					if err != nil {
-						t.Fatalf("Check: %v", err)
-					}
-					if res.Status != want {
-						t.Fatalf("naive=%v n=%d k=%d forced=%d: status %v, want %v",
-							naive, n, k, forced, res.Status, want)
-					}
-					if res.Status == Sat {
-						count := 0
-						for _, v := range vars {
-							if res.Bool(v) {
-								count++
-							}
+	for n := 1; n <= 5; n++ {
+		for k := 0; k <= n; k++ {
+			for forced := 0; forced <= n; forced++ {
+				s := NewSolver(DefaultOptions())
+				vars := make([]BoolVar, n)
+				fs := make([]Formula, n)
+				for i := range vars {
+					vars[i] = s.BoolVar("v")
+					fs[i] = B(vars[i])
+				}
+				for i := 0; i < forced; i++ {
+					s.Assert(B(vars[i]))
+				}
+				s.AssertAtMostK(fs, k)
+				want := Sat
+				if forced > k {
+					want = Unsat
+				}
+				res, err := s.Check()
+				if err != nil {
+					t.Fatalf("Check: %v", err)
+				}
+				if res.Status != want {
+					t.Fatalf("n=%d k=%d forced=%d: status %v, want %v",
+						n, k, forced, res.Status, want)
+				}
+				if res.Status == Sat {
+					count := 0
+					for _, v := range vars {
+						if res.Bool(v) {
+							count++
 						}
-						if count > k {
-							t.Fatalf("model sets %d > k=%d vars", count, k)
-						}
+					}
+					if count > k {
+						t.Fatalf("model sets %d > k=%d vars", count, k)
 					}
 				}
 			}

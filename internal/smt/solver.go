@@ -37,23 +37,11 @@ func (s Status) String() string {
 	}
 }
 
-// Options configure a Solver.
+// Options configure a Solver. The simplex consistency check runs at every
+// unit-propagation fixpoint (eager DPLL(T)) and at-most-k constraints use
+// the sequential-counter encoding; both are fixed, as in the paper's Z3
+// backend (DESIGN §1, §5).
 type Options struct {
-	// TheoryCheckAtFixpoint enables the eager DPLL(T) integration: the
-	// simplex consistency check runs at every unit-propagation fixpoint.
-	// When false it runs only on full Boolean assignments (ablation knob).
-	TheoryCheckAtFixpoint bool
-	// MaxConflicts bounds the SAT search per Check; ≤ 0 means unlimited.
-	// Exhaustion yields a Result with Status Unknown and populated Stats
-	// (never an error, never a hang).
-	//
-	// Deprecated: set Budget.MaxConflicts instead. When both are set,
-	// Budget.MaxConflicts wins.
-	MaxConflicts int64
-	// NaiveCardinality switches the at-most-k constraint encoding from the
-	// sequential counter to the quadratic pairwise encoding (only practical
-	// for very small k·n; ablation knob).
-	NaiveCardinality bool
 	// Budget bounds the resources of each Check/CheckContext call; the zero
 	// value means unlimited. See Budget for the exhaustion contract.
 	Budget Budget
@@ -79,9 +67,9 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration used throughout the paper
-// reproduction.
+// reproduction: unlimited budget, incremental solving, no proof logging.
 func DefaultOptions() Options {
-	return Options{TheoryCheckAtFixpoint: true}
+	return Options{}
 }
 
 // Stats describes the size of the encoded problem and the work done by one
@@ -316,15 +304,6 @@ func (s *Solver) SetBudget(b Budget) { s.opts.Budget = b }
 // SetInterrupter replaces the fault-injection hook (nil clears it).
 func (s *Solver) SetInterrupter(i Interrupter) { s.opts.Interrupter = i }
 
-// effectiveBudget folds the deprecated MaxConflicts field into Budget.
-func (s *Solver) effectiveBudget() Budget {
-	b := s.opts.Budget
-	if b.MaxConflicts == 0 && s.opts.MaxConflicts > 0 {
-		b.MaxConflicts = s.opts.MaxConflicts
-	}
-	return b
-}
-
 // Check solves the current assertion stack. It is CheckContext with a
 // background context: uninterruptible from outside, but still subject to
 // the configured Budget and Interrupter.
@@ -344,7 +323,7 @@ func (s *Solver) CheckContext(ctx context.Context) (*Result, error) {
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 
-	budget := s.effectiveBudget()
+	budget := s.opts.Budget
 	ctrl := newController(ctx, budget, s.opts.Interrupter, memBefore.TotalAlloc)
 	if s.opts.FreshPerCheck {
 		s.resetEncoding()
