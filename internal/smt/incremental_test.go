@@ -326,8 +326,9 @@ func TestProofCertificatesOnRandomScripts(t *testing.T) {
 				for i := range fs {
 					fs[i] = randFormula(rng, inc, boolVars, realVars, 1)
 				}
-				inc.AssertAtMostK(fs, rng.Intn(2))
-				fresh.AssertAtMostK(fs, rng.Intn(2))
+				k := rng.Intn(2)
+				inc.AssertAtMostK(fs, k)
+				fresh.AssertAtMostK(fs, k)
 			case r < 7: // push
 				inc.Push()
 				fresh.Push()
