@@ -73,6 +73,12 @@ type VerifyResponse struct {
 	// semantics.
 	Screened bool `json:"screened,omitempty"`
 
+	// Reused reports that a recent attack found on the answering warm
+	// encoder answered this request: the exact evaluator accepted it on
+	// the scenario with this request's protections folded in, and the SMT
+	// solver never ran.
+	Reused bool `json:"reused,omitempty"`
+
 	// Attack vector, present when Status is "feasible".
 	AlteredMeasurements []int             `json:"alteredMeasurements,omitempty"`
 	CompromisedBuses    []int             `json:"compromisedBuses,omitempty"`

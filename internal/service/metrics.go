@@ -39,6 +39,10 @@ type metrics struct {
 
 	screenCacheHits   atomic.Uint64 // screen instances answered from the verdict cache
 	screenCacheMisses atomic.Uint64 // screen instances that had to run the LP tier
+
+	witnessReuses         atomic.Uint64 // warm checks answered from the encoder's attack ring
+	witnessReuseMisses    atomic.Uint64 // warm checks the ring could not answer (solver ran)
+	feasibleReplayRejects atomic.Uint64 // feasible SMT verdicts the exact evaluator refused
 }
 
 // trackWorkers bumps the in-flight-workers gauge for one solve and returns
@@ -84,6 +88,15 @@ type Metrics struct {
 	// the LP; misses paid for a fresh screen.
 	ScreenCacheHits   uint64 `json:"screenCacheHits"`
 	ScreenCacheMisses uint64 `json:"screenCacheMisses"`
+
+	// Witness-reuse figures: every check that reaches a leased warm encoder
+	// first tries that encoder's recent attacks; reuses were answered from
+	// them without the solver, misses fell through to it.
+	// FeasibleReplayRejects counts feasible SMT verdicts the exact
+	// evaluator refused (answered inconclusive); it should read 0.
+	WitnessReuses         uint64 `json:"witnessReuses"`
+	WitnessReuseMisses    uint64 `json:"witnessReuseMisses"`
+	FeasibleReplayRejects uint64 `json:"feasibleReplayRejects"`
 
 	// Sched reports the work-unit scheduler: units run, units discarded by
 	// admission aborts, requests waiting for a first unit (what MaxQueue
@@ -152,6 +165,10 @@ func (m *metrics) snapshot(ps pool.Stats, ss sched.Stats, rs pool.RegistryStats)
 
 		ScreenCacheHits:   m.screenCacheHits.Load(),
 		ScreenCacheMisses: m.screenCacheMisses.Load(),
+
+		WitnessReuses:         m.witnessReuses.Load(),
+		WitnessReuseMisses:    m.witnessReuseMisses.Load(),
+		FeasibleReplayRejects: m.feasibleReplayRejects.Load(),
 	}
 	out.Sched.FlowsOpened = ss.FlowsOpened
 	out.Sched.UnitsRun = ss.UnitsRun

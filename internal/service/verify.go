@@ -157,6 +157,9 @@ func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, r
 		if err != nil {
 			return itemFailure(err.Error())
 		}
+		if err := s.replayFeasible(sc, ov, res); err != nil {
+			return replayRejected(err)
+		}
 		return s.buildResponse(res, false, retries)
 	}()
 
