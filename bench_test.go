@@ -459,8 +459,7 @@ func BenchmarkMeasurementSynthesis(b *testing.B) {
 // self-contained spec (one cold encoder build per item); the sweep variant
 // answers the whole family through one /v1/sweep plan — one pooled encoder,
 // per-item scoped overlays. A fresh service per iteration keeps every build
-// inside the timed loop. internal/experiments mirrors this pair as the
-// sweep/ rows of the BENCH_<n>.json trajectory.
+// inside the timed loop.
 func BenchmarkSweepVsSequential(b *testing.B) {
 	base := scenariofile.AttackSpec{
 		Case:        "ieee14",

@@ -4,20 +4,13 @@
 // Usage:
 //
 //	benchtables [-exp all|casestudy|synthesis|fig4a|fig4b|fig4c|fig4d|fig5a|fig5b|fig5c|fig5d|tableiv|actransfer] [-large] [-parallel N]
-//	benchtables -bench-json BENCH.json [-bench-baseline PREV.json]
 //
 // -large includes the IEEE 300-bus runs (minutes of extra runtime).
 // -parallel runs the sweep experiments (Fig 4(b)-(d), Fig 5(b)-(d)) on N
 // workers; the scaling figures stay sequential for timing fidelity.
-// -bench-json runs the benchmark trajectory set instead of the tables and
-// writes one JSON entry per workload (ns/op, allocs/op, solver counters).
-// -bench-baseline embeds a previous trajectory file's workloads as the new
-// file's "baseline" block, so the committed snapshot carries its own
-// comparison point.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,41 +22,15 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run")
 	large := flag.Bool("large", false, "include the IEEE 300-bus system")
 	parallel := flag.Int("parallel", 1, "sweep worker count (<2 = sequential)")
-	benchJSON := flag.String("bench-json", "", "run the benchmark set and write JSON to this file")
-	benchBaseline := flag.String("bench-baseline", "", "previous BENCH_<n>.json whose workloads become the new file's baseline block")
 	flag.Parse()
-	if err := run(*exp, *large, *parallel, *benchJSON, *benchBaseline); err != nil {
+	if err := run(*exp, *large, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, large bool, parallel int, benchJSON, benchBaseline string) error {
+func run(exp string, large bool, parallel int) error {
 	cfg := experiments.Config{Out: os.Stdout, Large: large, Parallel: parallel}
-	if benchJSON != "" {
-		entries, err := experiments.BenchSet(cfg)
-		if err != nil {
-			return err
-		}
-		// The object form leaves room for extra top-level keys in committed
-		// snapshots; trajectory tooling reads only "workloads". With
-		// -bench-baseline, the previous trajectory file's workloads are
-		// embedded as this file's "baseline" so the snapshot is
-		// self-contained.
-		doc := map[string]any{"workloads": entries}
-		if benchBaseline != "" {
-			base, err := loadBaseline(benchBaseline)
-			if err != nil {
-				return err
-			}
-			doc["baseline"] = base
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(benchJSON, append(data, '\n'), 0o644)
-	}
 	type step struct {
 		name string
 		fn   func() error
@@ -97,26 +64,4 @@ func run(exp string, large bool, parallel int, benchJSON, benchBaseline string) 
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
-}
-
-// loadBaseline reads a previous trajectory file and returns its workloads
-// tagged with their origin, for embedding as the next file's baseline block.
-func loadBaseline(path string) (map[string]any, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench-baseline: %w", err)
-	}
-	var prev struct {
-		Workloads []experiments.BenchEntry `json:"workloads"`
-	}
-	if err := json.Unmarshal(data, &prev); err != nil {
-		return nil, fmt.Errorf("bench-baseline %s: %w", path, err)
-	}
-	if len(prev.Workloads) == 0 {
-		return nil, fmt.Errorf("bench-baseline %s: no workloads", path)
-	}
-	return map[string]any{
-		"source":    fmt.Sprintf("workloads of %s, same machine", path),
-		"workloads": prev.Workloads,
-	}, nil
 }

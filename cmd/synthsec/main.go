@@ -13,8 +13,6 @@
 //	-max-conflicts n  initial per-verification CDCL conflict budget, escalated
 //	                  on Unknown results (0 = unlimited)
 //	-max-pivots n     initial per-verification simplex pivot budget (0 = unlimited)
-//	-fresh-encode     re-encode from scratch on every Check instead of reusing
-//	                  the incremental solver instances (ablation/debug knob)
 //	-no-screen        disable the LP-relaxation screening pre-filter that, by
 //	                  default, resolves candidate checks the relaxation can
 //	                  decide without an SMT solve (ablation knob; bus-granular
@@ -82,7 +80,6 @@ func run(args []string) (int, error) {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
 	maxConflicts := fs.Int64("max-conflicts", 0, "initial per-verification CDCL conflict budget (0 = unlimited)")
 	maxPivots := fs.Int64("max-pivots", 0, "initial per-verification simplex pivot budget (0 = unlimited)")
-	freshEncode := fs.Bool("fresh-encode", false, "re-encode on every Check instead of solving incrementally (ablation)")
 	noScreen := fs.Bool("no-screen", false, "disable the LP-relaxation screening pre-filter (ablation)")
 	proofDir := fs.String("proof", "", "directory for per-attack-model UNSAT certificate streams")
 	checkProof := fs.Bool("check-proof", false, "emit the certificates and verify each with the independent checker (temp directory when -proof is unset)")
@@ -117,7 +114,7 @@ func run(args []string) (int, error) {
 		return exitError, err
 	}
 	if spec.MeasurementGranular() {
-		return runMeasurementGranular(spec, limits, *freshEncode, pc)
+		return runMeasurementGranular(spec, limits, pc)
 	}
 	req, err := spec.Requirements()
 	if err != nil {
@@ -126,11 +123,6 @@ func run(args []string) (int, error) {
 	req.Limits = limits
 	req.ProofDir = pc.dir
 	req.NoScreen = *noScreen
-	if *freshEncode {
-		opts := freshOptions(req.Options)
-		req.Options = opts
-		req.Attack.Options = opts
-	}
 	sys := req.Attack.System()
 	fmt.Printf("system: %s (%d buses, %d lines), operator budget %d buses\n",
 		sys.Name, sys.Buses, sys.NumLines(), req.MaxSecuredBuses)
@@ -201,29 +193,13 @@ func reportProofs(pc proofConfig) error {
 	return nil
 }
 
-// freshOptions copies base (or the defaults) with FreshPerCheck set, for the
-// -fresh-encode ablation.
-func freshOptions(base *smt.Options) *smt.Options {
-	opts := smt.DefaultOptions()
-	if base != nil {
-		opts = *base
-	}
-	opts.FreshPerCheck = true
-	return &opts
-}
-
-func runMeasurementGranular(spec *scenariofile.SynthesisSpec, limits synth.Limits, freshEncode bool, pc proofConfig) (int, error) {
+func runMeasurementGranular(spec *scenariofile.SynthesisSpec, limits synth.Limits, pc proofConfig) (int, error) {
 	req, err := spec.MeasurementRequirements()
 	if err != nil {
 		return exitError, err
 	}
 	req.Limits = limits
 	req.ProofDir = pc.dir
-	if freshEncode {
-		opts := freshOptions(req.Options)
-		req.Options = opts
-		req.Attack.Options = opts
-	}
 	sys := req.Attack.System()
 	fmt.Printf("system: %s (%d buses, %d lines), operator budget %d measurements\n",
 		sys.Name, sys.Buses, sys.NumLines(), req.MaxSecuredMeasurements)

@@ -198,20 +198,25 @@ func TestStates9And10CannotBeAttackedAlone(t *testing.T) {
 
 func TestFullKnowledgeUnlimitedAlwaysFeasible(t *testing.T) {
 	// With full access, knowledge and no limits, any single non-reference
-	// state can be attacked (possibly dragging neighbors).
-	for _, name := range []string{"ieee14", "ieee30"} {
+	// state can be attacked (possibly dragging neighbors), and so can "any
+	// state" (the Table IV model-size scenario).
+	for _, name := range []string{"ieee14", "ieee30", "ieee57", "ieee118"} {
 		sys, err := grid.Case(name)
 		if err != nil {
 			t.Fatalf("Case: %v", err)
 		}
-		sc := NewScenario(sys)
-		sc.TargetStates = []int{sys.Buses / 2}
-		res := verify(t, sc)
-		if !res.Feasible {
-			t.Fatalf("%s: unconstrained attack infeasible", name)
-		}
-		if len(res.AlteredMeasurements) == 0 {
-			t.Fatalf("%s: feasible attack with empty vector", name)
+		target := NewScenario(sys)
+		target.TargetStates = []int{sys.Buses / 2}
+		anyState := NewScenario(sys)
+		anyState.AnyState = true
+		for _, sc := range []*Scenario{target, anyState} {
+			res := verify(t, sc)
+			if !res.Feasible {
+				t.Fatalf("%s (any state %v): unconstrained attack infeasible", name, sc.AnyState)
+			}
+			if len(res.AlteredMeasurements) == 0 {
+				t.Fatalf("%s (any state %v): feasible attack with empty vector", name, sc.AnyState)
+			}
 		}
 	}
 }

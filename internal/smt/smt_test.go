@@ -38,6 +38,29 @@ func TestPureBooleanUnsat(t *testing.T) {
 	s.Assert(B(a))
 	s.Assert(Not(B(a)))
 	checkStatus(t, s, Unsat)
+
+	// Pigeonhole 8→7 with one at-most-one cardinality per hole: the
+	// propositional stress instance of BenchmarkSMTSolver.
+	s = NewSolver(DefaultOptions())
+	const holes = 7
+	vars := make([][]BoolVar, holes+1)
+	for p := range vars {
+		vars[p] = make([]BoolVar, holes)
+		fs := make([]Formula, holes)
+		for h := range vars[p] {
+			vars[p][h] = s.BoolVar("v")
+			fs[h] = B(vars[p][h])
+		}
+		s.Assert(Or(fs...))
+	}
+	for h := 0; h < holes; h++ {
+		fs := make([]Formula, holes+1)
+		for p := range fs {
+			fs[p] = B(vars[p][h])
+		}
+		s.AssertAtMostK(fs, 1)
+	}
+	checkStatus(t, s, Unsat)
 }
 
 func TestConstantFolding(t *testing.T) {
@@ -83,6 +106,19 @@ func TestLinearArithmeticUnsat(t *testing.T) {
 	s.Assert(GE(sum, rat(10, 1)))
 	s.Assert(LE(NewLinExpr().TermInt(1, x), rat(2, 1)))
 	s.Assert(LE(NewLinExpr().TermInt(1, y), rat(3, 1)))
+	checkStatus(t, s, Unsat)
+
+	// A 200-link difference chain, x199 ≥ x0 + 199 against x0 ≥ 0 and
+	// x199 ≤ 100: the arithmetic stress instance of BenchmarkSMTSolver.
+	s = NewSolver(DefaultOptions())
+	prev := s.RealVar("x0")
+	s.Assert(GE(NewLinExpr().TermInt(1, prev), rat(0, 1)))
+	for k := 1; k < 200; k++ {
+		cur := s.RealVar("x")
+		s.Assert(GE(NewLinExpr().TermInt(1, cur).TermInt(-1, prev), rat(1, 1)))
+		prev = cur
+	}
+	s.Assert(LE(NewLinExpr().TermInt(1, prev), rat(100, 1)))
 	checkStatus(t, s, Unsat)
 }
 

@@ -36,12 +36,17 @@ func TestAlgorithm1SearchPath(t *testing.T) {
 		sc.OnlyTargets = true
 		return &Requirements{Attack: sc, MaxSecuredBuses: 7, Prune: true}
 	}
-	ieee30 := func(budget int) func() *Requirements {
+	anyStateBuses := func(sys *grid.System, budget int) func() *Requirements {
 		return func() *Requirements {
-			sc := core.NewScenario(grid.IEEE30())
+			sc := core.NewScenario(sys)
 			sc.AnyState = true
 			return &Requirements{Attack: sc, MaxSecuredBuses: budget, Prune: true}
 		}
+	}
+	ieee30 := func(budget int) func() *Requirements { return anyStateBuses(grid.IEEE30(), budget) }
+	ieee57, err := grid.Case("ieee57")
+	if err != nil {
+		t.Fatal(err)
 	}
 	with := func(base func() *Requirements, edit func(*Requirements)) func() *Requirements {
 		return func() *Requirements {
@@ -67,6 +72,8 @@ func TestAlgorithm1SearchPath(t *testing.T) {
 		{"budget-relaxation", relaxation, searchPin{iters: 2, ids: []int{13}}},
 		{"ieee30-b12", ieee30(12), searchPin{iters: 13, ids: ieee30b12}},
 		{"ieee30-b10", ieee30(10), searchPin{err: ErrNoArchitecture}},
+		{"ieee14-b7", anyStateBuses(grid.IEEE14(), 7), searchPin{iters: 20, ids: []int{1, 3, 8, 9, 11, 12}}},
+		{"ieee57-b23", anyStateBuses(ieee57, 23), searchPin{iters: 2, ids: []int{1, 3, 5, 8, 10, 12, 14, 16, 22, 25, 28, 31, 33, 35, 37, 39, 41, 44, 46, 49, 51, 53, 55}}},
 		{"scenario2-b5-capped", with(caseStudy(2, 5), twoIters), searchPin{iters: 2, ids: []int{1, 3, 6, 7, 14}, err: ErrBudgetExhausted}},
 		{"cube1-scenario1-b4", with(caseStudy(1, 4), cube1), searchPin{iters: 8, ids: []int{1, 6, 8, 9}}},
 		{"cube1-scenario2-b5", with(caseStudy(2, 5), cube1), searchPin{iters: 5, ids: []int{1, 3, 6, 8, 9}}},
