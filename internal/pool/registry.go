@@ -8,15 +8,15 @@ import (
 // Registry is the pool's shared-value sibling: a bounded LRU cache of values
 // that are *not* leased exclusively. Where Pool hands out one encoder to one
 // goroutine at a time, a Registry entry is handed to every caller with the
-// same key simultaneously. Two tenants use it: the cube synthesis support
-// pools (harvested counterexample-support clauses are monotone facts about
-// an attack model, so concurrent synthesis runs on the same key can all
-// publish into and seed from one shared value) and the service's
-// screen-verdict cache. Values must therefore be immutable or internally
-// synchronized; the Registry only guards its own bookkeeping.
+// same key simultaneously. It holds the cube synthesis support pools
+// (harvested counterexample-support clauses are monotone facts about an
+// attack model, so concurrent synthesis runs on the same key can all
+// publish into and seed from one shared value). Values must therefore be
+// immutable or internally synchronized; the Registry only guards its own
+// bookkeeping.
 //
-// Entries are bounded by MaxEntries with least-recently-used eviction (a
-// Get, Put or GetOrCreate touch counts as use), in O(1) per operation. There
+// Entries are bounded by MaxEntries with least-recently-used eviction (every
+// GetOrCreate touches its entry), in O(1) per operation. There
 // is no poisoning path: registry values are pure accumulations of
 // independently verified facts, so a failed run never invalidates them —
 // contrast with Pool.Discard for encoders.
@@ -50,28 +50,6 @@ func NewRegistry[K comparable, V any](maxEntries int) *Registry[K, V] {
 	return &Registry[K, V]{max: maxEntries, entries: make(map[K]*list.Element), lru: list.New()}
 }
 
-// Get returns the value registered under key and whether there was one.
-func (r *Registry[K, V]) Get(key K) (V, bool) {
-	var zero V
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	el, ok := r.entries[key]
-	if !ok {
-		r.stats.Misses++
-		return zero, false
-	}
-	r.stats.Hits++
-	r.lru.MoveToFront(el)
-	return el.Value.(*regEntry[K, V]).value, true
-}
-
-// Put registers value under key, replacing any previous value.
-func (r *Registry[K, V]) Put(key K, value V) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.putLocked(key, value)
-}
-
 // GetOrCreate returns the value registered under key, building it with
 // create on first use. The build runs under the registry lock — keep create
 // cheap (allocate an empty accumulator, not a populated one).
@@ -85,24 +63,14 @@ func (r *Registry[K, V]) GetOrCreate(key K, create func() V) V {
 	}
 	r.stats.Misses++
 	v := create()
-	r.putLocked(key, v)
-	return v
-}
-
-// putLocked stores key → value as the most recently used entry and evicts
-// from the least recently used end past the bound.
-func (r *Registry[K, V]) putLocked(key K, value V) {
-	if el, ok := r.entries[key]; ok {
-		el.Value.(*regEntry[K, V]).value = value
-		r.lru.MoveToFront(el)
-		return
-	}
-	r.entries[key] = r.lru.PushFront(&regEntry[K, V]{key: key, value: value})
+	r.entries[key] = r.lru.PushFront(&regEntry[K, V]{key: key, value: v})
+	// Evict from the least recently used end past the bound.
 	for r.lru.Len() > r.max {
 		oldest := r.lru.Remove(r.lru.Back()).(*regEntry[K, V])
 		delete(r.entries, oldest.key)
 		r.stats.Evictions++
 	}
+	return v
 }
 
 // Stats snapshots registry counters.

@@ -45,37 +45,41 @@ func TestRegistryEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestRegistryEvictionOrder checks Get and Put refresh recency exactly like
-// GetOrCreate, that a Put on a present key replaces its value without
-// growing the cache, and that eviction walks strictly from the least
-// recently used end, one entry per overflow.
+// TestRegistryEvictionOrder checks a GetOrCreate hit refreshes recency
+// without rebuilding or replacing the value, and that eviction walks
+// strictly from the least recently used end, one entry per overflow.
 func TestRegistryEvictionOrder(t *testing.T) {
 	r := NewRegistry[string, int](3)
-	r.Put("a", 1)
-	r.Put("b", 2)
-	r.Put("c", 3)
-	r.Get("a")                       // order, most recent first: a c b
-	r.Put("b", 20)                   // replace + touch: b a c
-	if v, _ := r.Get("b"); v != 20 { // b is already the newest: order unchanged
-		t.Fatalf("replacing put kept %d, want 20", v)
+	built := 0
+	get := func(k string) int { return r.GetOrCreate(k, func() int { built++; return built }) }
+	get("a")
+	get("b")
+	get("c")
+	get("a")                   // order, most recent first: a c b
+	if v := get("b"); v != 2 { // hit: b a c
+		t.Fatalf("hit on b returned %d, want its first value 2", v)
 	}
-	if st := r.Stats(); st.Entries != 3 || st.Evictions != 0 {
-		t.Fatalf("replacing put grew or evicted: %+v", st)
+	if st := r.Stats(); built != 3 || st.Entries != 3 || st.Evictions != 0 {
+		t.Fatalf("hits rebuilt, grew or evicted: %d builds, %+v", built, st)
 	}
-	// Each Put past the bound evicts exactly the least recently used entry.
-	// Probing only the expected victim keeps the probe from touching a
-	// survivor (a miss refreshes nothing).
-	for _, step := range []struct{ put, victim string }{{"d", "c"}, {"e", "a"}, {"f", "b"}} {
-		r.Put(step.put, 0)
-		if _, ok := r.Get(step.victim); ok {
-			t.Fatalf("after put %s: %s survived, want it evicted as the LRU entry", step.put, step.victim)
+	// Each miss past the bound evicts exactly the least recently used entry.
+	// Touching the survivors oldest first finds each without a build (so the
+	// victim is the one missing) and leaves their order unchanged.
+	for n, step := range []struct {
+		miss      string
+		survivors []string // oldest first
+	}{{"d", []string{"a", "b", "d"}}, {"e", []string{"b", "d", "e"}}, {"f", []string{"d", "e", "f"}}} {
+		get(step.miss)
+		before := built
+		for _, k := range step.survivors {
+			get(k)
 		}
-	}
-	if v, ok := r.Get("f"); !ok || v != 0 {
-		t.Fatalf("newest entry missing: %d %v", v, ok)
-	}
-	if st := r.Stats(); st.Entries != 3 || st.Evictions != 3 {
-		t.Fatalf("stats = %+v, want 3 entries after 3 evictions", st)
+		if built != before {
+			t.Fatalf("after miss %s: a survivor of %v was evicted", step.miss, step.survivors)
+		}
+		if st := r.Stats(); st.Entries != 3 || st.Evictions != uint64(n+1) {
+			t.Fatalf("after miss %s: stats = %+v, want 3 entries after %d evictions", step.miss, st, n+1)
+		}
 	}
 }
 
@@ -87,20 +91,15 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				k := Key{Topology: fmt.Sprint(i % 3)}
+				// One key more than the bound keeps eviction busy.
+				k := Key{Topology: fmt.Sprint(i % 5)}
 				m := r.GetOrCreate(k, func() *sync.Map { return new(sync.Map) })
 				m.Store(g*1000+i, true)
-				// Get and Put share the same bookkeeping (the screen cache's
-				// access pattern); a fourth key keeps eviction busy.
-				if got, ok := r.Get(k); ok {
-					got.Store(g*1000+i, true)
-				}
-				r.Put(Key{Topology: "x"}, m)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := r.Stats(); st.Entries != 4 {
-		t.Fatalf("entries = %d, want 4", st.Entries)
+	if st := r.Stats(); st.Entries != 4 || st.Evictions == 0 {
+		t.Fatalf("stats = %+v, want 4 entries after evictions", st)
 	}
 }

@@ -1,9 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -248,32 +245,19 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// poolKey fingerprints the attack spec into the warm-encoder compatibility
-// key: Topology identifies the network, Shape the full attack-model
-// structure lowered into the encoder. Per-request overlays (secured buses /
-// measurements) are applied in a solver scope and deliberately not part of
-// the key. Hashing the canonical re-marshaled spec means two requests share
-// an encoder exactly when their specs are field-for-field identical.
+// poolKey is the warm-encoder compatibility key of spec: Topology names the
+// built-in case (empty for a custom system, whose lines are part of the
+// spec) and Shape is the spec's canonical JSON, from which buildModel
+// decodes the spec again on a cold build. Per-request overlays (secured
+// buses / measurements, tightened bounds) are applied in a solver scope and
+// deliberately not part of the key, so two requests share an encoder
+// exactly when their specs are field-for-field identical.
 func poolKey(spec *scenariofile.AttackSpec) (pool.Key, error) {
-	var key pool.Key
-	switch {
-	case spec.Case != "":
-		key.Topology = spec.Case
-	default:
-		lines, err := json.Marshal(spec.Lines)
-		if err != nil {
-			return key, err
-		}
-		sum := sha256.Sum256(lines)
-		key.Topology = fmt.Sprintf("custom-%d-%s", spec.Buses, hex.EncodeToString(sum[:8]))
-	}
 	canon, err := json.Marshal(spec)
 	if err != nil {
-		return key, err
+		return pool.Key{}, err
 	}
-	sum := sha256.Sum256(canon)
-	key.Shape = hex.EncodeToString(sum[:16])
-	return key, nil
+	return pool.Key{Topology: spec.Case, Shape: string(canon)}, nil
 }
 
 // ratMap renders exact model rationals for the wire.
@@ -295,13 +279,4 @@ func unknownToken(r smt.UnknownReason) string {
 		return s
 	}
 	return smt.ReasonOther.String()
-}
-
-// specEqual reports whether two specs re-marshal identically — the sanity
-// check behind the key registry (hash collisions must not silently reuse an
-// encoder built for a different model).
-func specEqual(a, b *scenariofile.AttackSpec) bool {
-	ja, errA := json.Marshal(a)
-	jb, errB := json.Marshal(b)
-	return errA == nil && errB == nil && bytes.Equal(ja, jb)
 }

@@ -2,17 +2,22 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
+
+	"segrid/internal/scenariofile"
 )
 
 // FuzzSweepRequest throws arbitrary bytes at the JSON API's decode and plan
 // stages — decodeStrict, then planSweep — without solving anything. A
 // verify is planned as a one-item sweep, so the seeds include verify bodies
 // in that form. The property: no panic, every rejection is a 400, and every
-// accepted plan places each item exactly once in a group whose effective
+// accepted plan places each item exactly once in a group whose planned
 // scenario and overlays validate, so group execution cannot meet a caller
-// error mid-batch.
+// error mid-batch, and whose pool key's Shape decodes to a spec that builds
+// and marshals back to the same Shape, so a cold build encodes exactly the
+// planned spec (floats such as admittances and minChange included).
 func FuzzSweepRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"attack":{"case":"ieee14","anyState":true},"items":[{"securedBuses":[1,3,6,8,9]}]}`,
@@ -32,8 +37,8 @@ func FuzzSweepRequest(f *testing.F) {
 		if err := decodeStrict(bytes.NewReader(data), &req); err != nil {
 			return
 		}
-		// planSweep reads only the configuration and the spec registry, so
-		// a bare Service plans without starting a scheduler.
+		// planSweep reads only the configuration, so a bare Service plans
+		// without starting a scheduler.
 		s := &Service{cfg: Config{}.withDefaults()}
 		groups, herr := s.planSweep(&req, false)
 		if herr != nil {
@@ -44,14 +49,20 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		placed := make([]bool, len(req.Items))
 		for _, g := range groups {
-			sc, err := g.spec.Scenario()
-			if err == nil {
-				err = sc.Validate()
-			}
-			if err != nil {
+			if err := g.sc.Validate(); err != nil {
 				t.Fatalf("accepted group's scenario is invalid: %v", err)
 			}
-			sys := sc.System()
+			var spec scenariofile.AttackSpec
+			if err := json.Unmarshal([]byte(g.key.Shape), &spec); err != nil {
+				t.Fatalf("group key shape does not decode: %v", err)
+			}
+			if again, err := json.Marshal(&spec); err != nil || string(again) != g.key.Shape {
+				t.Fatalf("group key shape %s re-marshals to %s (%v)", g.key.Shape, again, err)
+			}
+			if _, err := spec.Scenario(); err != nil {
+				t.Fatalf("group key shape %s does not build: %v", g.key.Shape, err)
+			}
+			sys := g.sc.System()
 			for _, it := range g.items {
 				if placed[it.index] {
 					t.Fatalf("item %d planned twice", it.index)

@@ -94,11 +94,11 @@ func effectiveBound(item *int, base int) int {
 
 // TestSweepTighteningIsMonotone is a metamorphic property over the whole
 // in-process sweep path — planning, scoped overlays, re-specced groups,
-// the screen and its verdict cache, and both lowerings: securing one more
-// measurement or lowering T_CZ or T_CB by one only shrinks the attack's
-// feasible set, so an item that is infeasible never has a feasible
-// tightening. Each family runs with the screen on, off, and on again (the
-// second screened run answers from the cache); definitive verdicts of one
+// the screen, and both lowerings: securing one more measurement or lowering
+// T_CZ or T_CB by one only shrinks the attack's feasible set, so an item
+// that is infeasible never has a feasible tightening. Each family runs with
+// the screen on, off, and on again (screening is deterministic, so the
+// second screened run must repeat the first); definitive verdicts of one
 // item must agree across the three.
 func TestSweepTighteningIsMonotone(t *testing.T) {
 	svc, err := New(Config{})

@@ -37,9 +37,6 @@ type metrics struct {
 	screenInconclusive atomic.Uint64 // screens that fell through to the SMT tier
 	screenNanos        atomic.Uint64 // total wall time spent screening, definitive or not
 
-	screenCacheHits   atomic.Uint64 // screen instances answered from the verdict cache
-	screenCacheMisses atomic.Uint64 // screen instances that had to run the LP tier
-
 	witnessReuses         atomic.Uint64 // warm checks answered from the encoder's attack ring
 	witnessReuseMisses    atomic.Uint64 // warm checks the ring could not answer (solver ran)
 	feasibleReplayRejects atomic.Uint64 // feasible SMT verdicts the exact evaluator refused
@@ -83,9 +80,9 @@ type Metrics struct {
 	ScreenInconclusive uint64 `json:"screenInconclusive"`
 	ScreenNanos        uint64 `json:"screenNanos"`
 
-	// Verdict-cache figures for the screening tier: hits re-served a
-	// memoized screen outcome (definitive or inconclusive) without touching
-	// the LP; misses paid for a fresh screen.
+	// ScreenCacheHits and ScreenCacheMisses always read 0: there is no
+	// screen-verdict cache, every screened item runs the LP tier. They stay
+	// on the wire because segridbench reads them.
 	ScreenCacheHits   uint64 `json:"screenCacheHits"`
 	ScreenCacheMisses uint64 `json:"screenCacheMisses"`
 
@@ -162,9 +159,6 @@ func (m *metrics) snapshot(ps pool.Stats, ss sched.Stats, rs pool.RegistryStats)
 		ScreenRejects:      m.screenRejects.Load(),
 		ScreenInconclusive: m.screenInconclusive.Load(),
 		ScreenNanos:        m.screenNanos.Load(),
-
-		ScreenCacheHits:   m.screenCacheHits.Load(),
-		ScreenCacheMisses: m.screenCacheMisses.Load(),
 
 		WitnessReuses:         m.witnessReuses.Load(),
 		WitnessReuseMisses:    m.witnessReuseMisses.Load(),

@@ -39,17 +39,6 @@ func (ov *overlay) admits(w *core.Result) bool {
 		(ov.maxBuses == 0 || len(w.CompromisedBuses) <= ov.maxBuses)
 }
 
-// overlaid folds ov into a shallow copy of base with its own measurement
-// configuration, leaving base untouched.
-func overlaid(base *core.Scenario, ov *overlay) (*core.Scenario, error) {
-	sc := *base
-	sc.Meas = base.Meas.Clone()
-	if err := overlayScenario(&sc, ov); err != nil {
-		return nil, err
-	}
-	return &sc, nil
-}
-
 // reuseWitness answers ov from wm's ring: the first remembered attack that
 // passes the pre-test and the exact evaluator on the overlaid scenario moves
 // to the front and is returned. Nil means the ring holds no attack for ov

@@ -259,7 +259,7 @@ func TestSweepWitnessReuseMatchesCoreVerify(t *testing.T) {
 // edit change it and returns it to the pool.
 func leaseWarm(t *testing.T, svc *Service, spec scenariofile.AttackSpec, edit func(*warmModel)) {
 	t.Helper()
-	key, err := svc.keyFor(&spec)
+	key, err := poolKey(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func TestScreenWaitsForWorker(t *testing.T) {
 		t.Fatal("the holder finished before the screen-on verify could be observed queued")
 	default:
 	}
-	if n := svc.m.screenCacheMisses.Load() + svc.m.screenCacheHits.Load(); n != 0 {
+	if n := svc.m.screenAccepts.Load() + svc.m.screenRejects.Load() + svc.m.screenInconclusive.Load(); n != 0 {
 		t.Fatalf("%d screens ran while the only worker was held", n)
 	}
 

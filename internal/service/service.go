@@ -46,7 +46,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"segrid/internal/core"
@@ -158,13 +157,11 @@ func (s *Service) cubeWorkers(asked int) int {
 	return n
 }
 
-// warmModel is the pooled item: one encoded attack model plus the spec it
-// was built from, kept to detect key-hash collisions on reuse, the base
-// scenario it encodes and its ring of recent evaluator-accepted attacks
-// (see reuse.go), which lives and dies with the encoder.
+// warmModel is the pooled item: one encoded attack model, the base scenario
+// it encodes and its ring of recent evaluator-accepted attacks (see
+// reuse.go), which lives and dies with the encoder.
 type warmModel struct {
 	model     *core.Model
-	spec      *scenariofile.AttackSpec
 	sc        *core.Scenario
 	witnesses []*core.Result
 }
@@ -175,9 +172,7 @@ type Service struct {
 	cfg      Config
 	pool     *pool.Pool[*warmModel]
 	sched    *sched.Scheduler
-	screens  *pool.Registry[string, *core.Result]         // screen verdicts keyed by instance
 	supports *pool.Registry[pool.Key, *synth.SupportPool] // cube supports keyed by attack model
-	specs    sync.Map                                     // pool.Key → *scenariofile.AttackSpec
 	m        metrics
 	start    time.Time
 }
@@ -188,7 +183,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		sched:    sched.New(sched.Config{Workers: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue, QueueWait: cfg.QueueWait}),
-		screens:  pool.NewRegistry[string, *core.Result](screenCacheEntries),
 		supports: pool.NewRegistry[pool.Key, *synth.SupportPool](0),
 		start:    time.Now(),
 	}
@@ -206,17 +200,17 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// buildModel is the pool's cold-build hook: it looks the key's spec up in
-// the registry and encodes the attack model. The requesting check's context
-// flows into the encoding stages, so a build queued behind a cancelled or
-// deadline-expired request stops instead of completing dead work; callers
-// map the resulting error to an inconclusive answer, not a client error.
+// buildModel is the pool's cold-build hook: it decodes the attack spec from
+// the key's Shape (see poolKey) and encodes the attack model. The requesting
+// check's context flows into the encoding stages, so a build queued behind a
+// cancelled or deadline-expired request stops instead of completing dead
+// work; callers map the resulting error to an inconclusive answer, not a
+// client error.
 func (s *Service) buildModel(ctx context.Context, key pool.Key) (*warmModel, error) {
-	v, ok := s.specs.Load(key)
-	if !ok {
-		return nil, fmt.Errorf("service: no spec registered for pool key %+v", key)
+	var spec scenariofile.AttackSpec
+	if err := json.Unmarshal([]byte(key.Shape), &spec); err != nil {
+		return nil, fmt.Errorf("service: decode pool key shape: %w", err)
 	}
-	spec := v.(*scenariofile.AttackSpec)
 	sc, err := spec.Scenario()
 	if err != nil {
 		return nil, err
@@ -225,7 +219,7 @@ func (s *Service) buildModel(ctx context.Context, key pool.Key) (*warmModel, err
 	if err != nil {
 		return nil, err
 	}
-	return &warmModel{model: m, spec: spec, sc: sc}, nil
+	return &warmModel{model: m, sc: sc}, nil
 }
 
 // resetModel validates a returning encoder: the overlay scope must have
@@ -532,8 +526,8 @@ func (s *Service) synthesizeUnit(ctx context.Context, req *SynthesizeRequest, wo
 		// are facts about the attack scenario alone (never about the
 		// defender's budget or exclusions), so a later request with a
 		// different budget starts from every support earlier requests paid
-		// to discover. Keyed by the attack spec's fingerprint; a key error
-		// just leaves the run on a private pool.
+		// to discover. Keyed like the encoder pool; a key error just leaves
+		// the run on a private pool.
 		if key, err := poolKey(&spec.Attack); err == nil {
 			sreq.SupportPool = s.supports.GetOrCreate(key, synth.NewSupportPool)
 		}
@@ -579,7 +573,7 @@ func (s *Service) synthFailure(err error) (*SynthesizeResponse, *handlerError) {
 func (s *Service) handleProofCheck(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Add(1)
 	if s.cfg.ProofDir == "" {
-		writeError(w, http.StatusBadRequest, "the server has no proof directory")
+		s.writeFailure(w, errNoProofDir)
 		return
 	}
 	var req ProofCheckRequest
@@ -590,12 +584,12 @@ func (s *Service) handleProofCheck(w http.ResponseWriter, r *http.Request) {
 	// Resolve strictly inside the proof directory: certificate names only,
 	// no traversal, no absolute paths.
 	if req.Path == "" || filepath.IsAbs(req.Path) {
-		writeError(w, http.StatusBadRequest, "path must be relative to the proof directory")
+		s.writeFailure(w, &handlerError{http.StatusBadRequest, "path must be relative to the proof directory"})
 		return
 	}
 	clean := filepath.Clean(req.Path)
 	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) {
-		writeError(w, http.StatusBadRequest, "path escapes the proof directory")
+		s.writeFailure(w, &handlerError{http.StatusBadRequest, "path escapes the proof directory"})
 		return
 	}
 	// The check is a one-unit flow: certificate checking is CPU work like

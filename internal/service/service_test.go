@@ -431,7 +431,7 @@ func TestSynthesizeEndpoint(t *testing.T) {
 // TestRequestValidation pins the strict-input contract: unknown fields,
 // traversal paths and proof requests without a proof dir are all refused.
 func TestRequestValidation(t *testing.T) {
-	_, srv := newTestServer(t, Config{ProofDir: t.TempDir()})
+	svc, srv := newTestServer(t, Config{ProofDir: t.TempDir()})
 
 	for _, body := range []string{
 		`{"attack": {"case": "ieee14"}, "bogus": 1}`,
@@ -450,11 +450,22 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
+	bad := svc.m.badRequests.Load()
 	for _, path := range []string{"../outside.proof", "/etc/passwd", ""} {
 		resp, raw := post(t, srv, "/v1/proofcheck", ProofCheckRequest{Path: path})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("path %q accepted: %d %s", path, resp.StatusCode, raw)
 		}
+	}
+	if n := svc.m.badRequests.Load() - bad; n != 3 {
+		t.Fatalf("badRequests counted %d proofcheck path rejections, want 3", n)
+	}
+	noDir, noDirSrv := newTestServer(t, Config{})
+	if resp, raw := post(t, noDirSrv, "/v1/proofcheck", ProofCheckRequest{Path: "x.proof"}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("proofcheck without a proof directory: %d %s, want 400", resp.StatusCode, raw)
+	}
+	if n := noDir.m.badRequests.Load(); n != 1 {
+		t.Fatalf("badRequests = %d after a proofcheck without a proof directory, want 1", n)
 	}
 
 	resp2, raw := post(t, srv, "/v1/verify", VerifyRequest{

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"segrid/internal/core"
 	"segrid/internal/pool"
 	"segrid/internal/scenariofile"
 	"segrid/internal/smt"
@@ -36,12 +37,14 @@ import (
 
 // sweepGroup is one encoder-compatibility class of planned items.
 type sweepGroup struct {
-	key  pool.Key
-	spec *scenariofile.AttackSpec // effective spec the group's encoder is built from
-	// fresh runs every item on a throwaway encoder: a key-hash collision,
-	// or a proof verify. proof streams each item's certificate.
-	fresh, proof bool
-	items        []plannedItem
+	key pool.Key
+	// sc is the group's effective scenario, built and validated once at
+	// planning; the screen and fresh encoders work on copies of it.
+	sc *core.Scenario
+	// proof runs every item on a throwaway encoder that streams the item's
+	// certificate; such a group never leases a pooled encoder.
+	proof bool
+	items []plannedItem
 }
 
 // plannedItem is one sweep item resolved against its group: the original
@@ -52,10 +55,11 @@ type plannedItem struct {
 }
 
 // planSweep validates the request and partitions its items into groups,
-// preserving first-occurrence order; proof marks every group fresh and
-// proof-streaming (see sweepGroup). All validation happens here, before
-// any solving: a malformed item fails the whole sweep with 400 instead of
-// surfacing mid-batch.
+// preserving first-occurrence order; proof marks every group proof-streaming
+// (see sweepGroup). All validation happens here, before any solving: each
+// group's scenario is built and validated when its first item is planned
+// and every overlay is range-checked against it, so a malformed item fails
+// the whole sweep with 400 instead of surfacing mid-batch.
 func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *handlerError) {
 	if len(req.Items) == 0 {
 		return nil, &handlerError{http.StatusBadRequest, "sweep has no items"}
@@ -72,51 +76,39 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 		}
 	)
 	for i := range req.Items {
-		item := &req.Items[i]
-		eff, ov, err := planItem(&req.Attack, item)
+		eff, ov, err := planItem(&req.Attack, &req.Items[i])
 		if err != nil {
 			return nil, sysErr(i, err)
 		}
-		key, err := s.keyFor(eff)
+		key, err := poolKey(eff)
 		if err != nil {
 			return nil, sysErr(i, err)
 		}
-		collided := key == (pool.Key{})
 		g, ok := byKey[key]
-		if !ok || collided {
-			// Collision groups are never merged: each collided item runs on
-			// its own throwaway encoder.
-			g = &sweepGroup{key: key, spec: eff, fresh: proof || collided, proof: proof}
-			if !collided {
-				byKey[key] = g
+		if !ok {
+			sc, err := eff.Scenario()
+			if err == nil {
+				err = sc.Validate()
 			}
+			if err != nil {
+				return nil, sysErr(i, err)
+			}
+			g = &sweepGroup{key: key, sc: sc, proof: proof}
+			byKey[key] = g
 			order = append(order, g)
 		}
+		sys := g.sc.System()
+		for _, j := range ov.securedBuses {
+			if j < 1 || j > sys.Buses {
+				return nil, sysErr(i, fmt.Errorf("secured bus %d out of range 1..%d", j, sys.Buses))
+			}
+		}
+		for _, id := range ov.securedMeasurements {
+			if id < 1 || id > sys.NumMeasurements() {
+				return nil, sysErr(i, fmt.Errorf("secured measurement %d out of range 1..%d", id, sys.NumMeasurements()))
+			}
+		}
 		g.items = append(g.items, plannedItem{index: i, ov: ov})
-	}
-	// Validate every group's effective scenario and overlay ranges up
-	// front, so group execution cannot hit a caller error mid-batch.
-	for _, g := range order {
-		sc, err := g.spec.Scenario()
-		if err == nil {
-			err = sc.Validate()
-		}
-		if err != nil {
-			return nil, sysErr(g.items[0].index, err)
-		}
-		sys := sc.System()
-		for _, it := range g.items {
-			for _, j := range it.ov.securedBuses {
-				if j < 1 || j > sys.Buses {
-					return nil, sysErr(it.index, fmt.Errorf("secured bus %d out of range 1..%d", j, sys.Buses))
-				}
-			}
-			for _, id := range it.ov.securedMeasurements {
-				if id < 1 || id > sys.NumMeasurements() {
-					return nil, sysErr(it.index, fmt.Errorf("secured measurement %d out of range 1..%d", id, sys.NumMeasurements()))
-				}
-			}
-		}
 	}
 	return order, nil
 }
@@ -125,7 +117,7 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 // as feasible-set-shrinking scoped constraints go into the overlay; deltas
 // that change the encoded model (goal replacement, bound lifting/loosening)
 // produce a derived spec. Returns the effective spec (the base itself when
-// nothing re-specs — pointer identity is what groups items) and the overlay.
+// nothing re-specs) and the overlay.
 func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.AttackSpec, overlay, error) {
 	ov := overlay{
 		securedBuses:        item.SecuredBuses,
@@ -200,7 +192,7 @@ func (s *Service) sweep(ctx context.Context, req *SweepRequest, proof bool) (*Sw
 
 // runGroup is the body of one group's work unit: it answers the group's
 // items into their slots of out. With screen set, each item first goes to
-// the LP screening tier (cache first); a definitive screen answers it. The
+// the LP screening tier; a definitive screen answers it. The
 // rest share a single pooled lease, checked out at the first unscreened
 // item — a fully screened group builds no encoder — with the warm→fresh
 // retry ladder per item:
@@ -238,7 +230,7 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 		if err := ctx.Err(); err != nil {
 			return ctxExpired(err)
 		}
-		if lease == nil && !g.fresh {
+		if lease == nil && !g.proof {
 			var err error
 			switch lease, err = s.pool.Checkout(ctx, g.key); {
 			case err == nil:
@@ -294,7 +286,7 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 		start := time.Now()
 		var r *VerifyResponse
 		if screen {
-			r = s.screenItem(ctx, g.spec, &it.ov)
+			r = s.screenItem(ctx, g.sc, &it.ov)
 		}
 		if r == nil {
 			r = check(&it.ov)

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -377,5 +380,50 @@ func TestSoakSweep(t *testing.T) {
 	}
 	if m.Requests != uint64(workers*iters) {
 		t.Fatalf("requests = %d, want %d", m.Requests, workers*iters)
+	}
+}
+
+// TestSweepRetainsNoRequest sends 64 sweeps with distinct specs through a
+// two-encoder pool and checks the server keeps none of the requests once
+// they are answered: the only per-spec state is the pool's, whose keys are
+// canonical copies of the spec, so at most two encoders outlive their
+// requests and no request does. The specs are custom systems, which may
+// each be megabytes.
+func TestSweepRetainsNoRequest(t *testing.T) {
+	svc, err := New(Config{PoolMaxLive: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const n = 64
+	var freed atomic.Int32
+	for i := 0; i < n; i++ {
+		req := &SweepRequest{
+			Attack: scenariofile.AttackSpec{
+				Buses: 3,
+				Lines: []scenariofile.LineSpec{
+					{From: 1, To: 2, Admittance: 1 + float64(i)/n},
+					{From: 2, To: 3, Admittance: 0.5},
+				},
+				AnyState: true,
+			},
+			Items: []SweepItem{{}},
+		}
+		runtime.SetFinalizer(req, func(*SweepRequest) { freed.Add(1) })
+		resp, err := svc.Sweep(context.Background(), req)
+		if err != nil || resp.Items[0].Status != "feasible" {
+			t.Fatalf("sweep %d = %+v, %v; want feasible", i, resp, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < n-2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d answered requests were freed, want at least %d", freed.Load(), n, n-2)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := svc.PoolStats(); st.Live > 2 {
+		t.Fatalf("pool holds %d encoders, want at most 2", st.Live)
 	}
 }

@@ -11,9 +11,7 @@ import (
 
 	"segrid/internal/core"
 	"segrid/internal/faultinject"
-	"segrid/internal/pool"
 	"segrid/internal/proof"
-	"segrid/internal/scenariofile"
 	"segrid/internal/screen"
 	"segrid/internal/smt"
 )
@@ -22,8 +20,9 @@ import (
 // request's secured buses and measurements are the item's overlay on its
 // attack spec, so it runs through the same planner, screening tier and
 // group executor (with its warm→fresh retry ladder) as every /v1/sweep
-// item. Proof requests plan onto a fresh-encoder group and are never
-// screened: they explicitly ask for solver artifacts.
+// item. Proof requests plan onto a proof group, which answers on a
+// throwaway encoder, and are never screened: they explicitly ask for
+// solver artifacts.
 func (s *Service) verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, *handlerError) {
 	one := &SweepRequest{
 		Attack: req.Attack,
@@ -36,23 +35,6 @@ func (s *Service) verify(ctx context.Context, req *VerifyRequest) (*VerifyRespon
 		return nil, &handlerError{herr.status, strings.TrimPrefix(herr.msg, "sweep item 0: ")}
 	}
 	return resp.Items[0], nil
-}
-
-// keyFor fingerprints spec into its pool key and registers the spec for the
-// pool's cold-build hook. A key-hash collision against a different
-// registered spec returns the zero Key: the caller must not share an
-// encoder and falls back to fresh encoding.
-func (s *Service) keyFor(spec *scenariofile.AttackSpec) (pool.Key, error) {
-	key, err := poolKey(spec)
-	if err != nil {
-		return pool.Key{}, err
-	}
-	if prev, loaded := s.specs.LoadOrStore(key, spec); loaded {
-		if !specEqual(prev.(*scenariofile.AttackSpec), spec) {
-			return pool.Key{}, nil
-		}
-	}
-	return key, nil
 }
 
 // checkWarm runs one check on a leased warm encoder. The overlay is
@@ -98,17 +80,16 @@ func (s *Service) checkModel(ctx context.Context, m *core.Model) (*core.Result, 
 	return m.CheckContext(ctx)
 }
 
-// verifyFresh answers one item of g on a throwaway encoder — fresh groups,
+// verifyFresh answers one item of g on a throwaway encoder — proof groups,
 // pool exhaustion, and the retry ladder's trustworthy rung —
 // optionally streaming an UNSAT certificate to a per-request atomic file.
+// The encoder is built from a shallow copy of the group's planned scenario
+// carrying this check's solver options; encoding only reads the scenario.
 // Each call is a cold build, counted into builds. Failures that are not a
 // scenario verdict answer inconclusive.
 func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, retries int, builds *atomic.Int64) *VerifyResponse {
 	builds.Add(1)
-	sc, err := g.spec.Scenario()
-	if err != nil {
-		return itemFailure(err.Error())
-	}
+	sc := *g.sc
 	opts := smt.DefaultOptions()
 	opts.Budget = s.cfg.Budget
 	var dec faultinject.Decision
@@ -141,7 +122,7 @@ func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, r
 				resp = itemFailure(fmt.Sprintf("solver panic: %v", r))
 			}
 		}()
-		m, err := core.NewModelContext(ctx, sc)
+		m, err := core.NewModelContext(ctx, &sc)
 		if err != nil {
 			if ctx.Err() != nil {
 				// The fresh encoding was abandoned by this request's own
@@ -157,7 +138,7 @@ func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, r
 		if err != nil {
 			return itemFailure(err.Error())
 		}
-		if err := s.replayFeasible(sc, ov, res); err != nil {
+		if err := s.replayFeasible(&sc, ov, res); err != nil {
 			return replayRejected(err)
 		}
 		return s.buildResponse(res, false, retries)
@@ -203,83 +184,52 @@ func (s *Service) screenEnabled(override *bool) bool {
 	return s.cfg.Screen
 }
 
-// screenItem runs the LP-relaxation screening tier on one (spec, overlay)
-// instance, consulting the cross-request screen-verdict cache first. It
-// runs inside the item's group unit, on a scheduler worker. A definitive
-// verdict comes back as a complete response with Screened set — the caller
-// answers the item with it and never touches the encoder pool. Anything
-// else (inconclusive screen, malformed spec or overlay, screening error)
-// returns nil: the SMT path runs as if the screen did not exist and reports
-// its own errors, so screening never changes what a request can observe
-// beyond latency.
-//
-// Cache hits count into the regular screen verdict counters (plus the hit
-// counter), so the accept/reject/inconclusive ledger stays the tier's
-// complete answer record whether a verdict was computed or remembered.
-func (s *Service) screenItem(ctx context.Context, spec *scenariofile.AttackSpec, ov *overlay) *VerifyResponse {
-	key := screenCacheKey(spec, ov)
-	if cached, ok := s.screens.Get(key); ok {
-		s.m.screenCacheHits.Add(1)
-		if cached == nil {
-			s.m.screenInconclusive.Add(1)
-			return nil
-		}
-		if cached.Feasible {
-			s.m.screenAccepts.Add(1)
-		} else {
-			s.m.screenRejects.Add(1)
-		}
-		r := s.buildResponse(cached, false, 0)
-		r.Screened = true
-		return r
-	}
-	s.m.screenCacheMisses.Add(1)
+// screenItem runs the LP-relaxation screening tier on the group's planned
+// scenario with ov folded into a copy of it. It runs inside the item's
+// group unit, on a scheduler worker. A definitive verdict comes back as a
+// complete response with Screened set — the caller answers the item with it
+// and never touches the encoder pool. Anything else (inconclusive screen,
+// malformed overlay, screening error) returns nil: the SMT path runs as if
+// the screen did not exist and reports its own errors, so screening never
+// changes what a request can observe beyond latency.
+func (s *Service) screenItem(ctx context.Context, base *core.Scenario, ov *overlay) *VerifyResponse {
 	start := time.Now()
-	sc, err := spec.Scenario()
+	sc, err := overlaid(base, ov)
 	if err != nil {
-		return nil
-	}
-	if err := overlayScenario(sc, ov); err != nil {
 		return nil
 	}
 	res, err := core.ScreenScenario(ctx, sc, screen.Options{MaxPivots: screen.DefaultMaxPivots})
 	s.m.screenNanos.Add(uint64(time.Since(start).Nanoseconds()))
 	if err != nil || !res.Verdict.Definitive() {
 		s.m.screenInconclusive.Add(1)
-		if err == nil && ctx.Err() == nil {
-			// A clean inconclusive is deterministic (the pivot cap, not the
-			// clock, gave up) and worth remembering: repeats skip straight
-			// to the SMT tier.
-			s.screens.Put(key, nil)
-		}
 		return nil
 	}
-	cres := core.ResultFromScreen(res)
-	s.screens.Put(key, cres)
 	if res.Verdict == screen.Infeasible {
 		s.m.screenRejects.Add(1)
 	} else {
 		s.m.screenAccepts.Add(1)
 	}
-	r := s.buildResponse(cres, false, 0)
+	r := s.buildResponse(core.ResultFromScreen(res), false, 0)
 	r.Screened = true
 	return r
 }
 
-// overlayScenario folds a per-request overlay into a freshly built scenario
-// — the screening tier's equivalent of applyOverlay, which asserts the same
-// delta on an encoded model. Securing a bus means securing every
-// measurement homed at it, exactly the semantics of the model-level
-// bus-compromise indicator being forced false.
-func overlayScenario(sc *core.Scenario, ov *overlay) error {
+// overlaid folds ov into a shallow copy of base with its own measurement
+// configuration, leaving base untouched — the scenario-level equivalent of
+// applyOverlay, which asserts the same delta on an encoded model. Securing
+// a bus means securing every measurement homed at it, exactly the semantics
+// of the model-level bus-compromise indicator being forced false.
+func overlaid(base *core.Scenario, ov *overlay) (*core.Scenario, error) {
+	sc := *base
+	sc.Meas = base.Meas.Clone()
 	for _, j := range ov.securedBuses {
 		if err := sc.Meas.SecureBus(j); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if len(ov.securedMeasurements) > 0 {
 		if err := sc.Meas.Secure(ov.securedMeasurements...); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Overlay bounds are only ever tightenings (planItem re-specs anything
@@ -290,7 +240,7 @@ func overlayScenario(sc *core.Scenario, ov *overlay) error {
 	if ov.maxBuses > 0 {
 		sc.MaxCompromisedBuses = ov.maxBuses
 	}
-	return nil
+	return &sc, nil
 }
 
 // overlay is a per-check scoped delta asserted on top of an encoded model:
