@@ -39,14 +39,13 @@
 //	                  per call. Measurement-granular synthesis always runs
 //	                  sequentially
 //	-max-workers n    hard per-request cap on the cube width (default 8)
-//	-screen           enable the LP-relaxation screening tier: verify and
-//	                  sweep items the screen decides definitively are
-//	                  answered without an encoder or SMT solve ("screened":
-//	                  true in the response); requests override per call with
-//	                  their "screen" field; definitive and inconclusive
-//	                  screen outcomes are memoized by (topology, goal,
-//	                  overlay) in a 1024-entry LRU and re-served without
-//	                  re-screening
+//	-screen           enable the LP-relaxation screening tier: each verify
+//	                  and sweep item is screened under the screen's default
+//	                  pivot budget, every time it is asked; one the screen
+//	                  decides definitively is answered without an encoder or
+//	                  SMT solve ("screened": true in the response), an
+//	                  inconclusive one falls through to the encoder path;
+//	                  requests override per call with their "screen" field
 //
 // Endpoints:
 //

@@ -122,7 +122,7 @@ func run(args []string) (int, error) {
 	}
 	var pw *proof.Writer
 	if *proofPath != "" {
-		pw, err = proof.Create(*proofPath)
+		pw, err = proof.CreateAtomic(*proofPath)
 		if err != nil {
 			return exitError, err
 		}
@@ -146,6 +146,11 @@ func run(args []string) (int, error) {
 
 	res, err := core.VerifyContext(ctx, sc)
 	if err != nil {
+		if pw != nil {
+			// Discard the staged certificate: nothing appears at -proof.
+			pw.Abort(err)
+			pw.Close()
+		}
 		return exitError, err
 	}
 	sys := sc.System()

@@ -101,9 +101,17 @@ func TestVerifySearchPath(t *testing.T) {
 		if err := pw.Close(); err != nil {
 			t.Fatalf("%s: close certificate: %v", tc.name, err)
 		}
-		var trimmed bytes.Buffer
-		if _, err := proof.TrimTo(&trimmed, &cert); err != nil {
+		recs, err := proof.ReadAll(&cert)
+		if err != nil {
+			t.Fatalf("%s: read certificate: %v", tc.name, err)
+		}
+		kept, _, err := proof.Trim(recs)
+		if err != nil {
 			t.Fatalf("%s: trim certificate: %v", tc.name, err)
+		}
+		var trimmed bytes.Buffer
+		if err := proof.WriteAll(&trimmed, kept); err != nil {
+			t.Fatalf("%s: write trimmed certificate: %v", tc.name, err)
 		}
 		rep, err := proof.Check(&trimmed)
 		if err != nil || rep.UnsatChecks != 1 {

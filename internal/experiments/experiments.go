@@ -32,20 +32,6 @@ type Config struct {
 	// paper-grade timing. The headline scaling figures (Fig 4(a), Fig 5(a))
 	// always run sequentially.
 	Parallel int
-	// Budget, when non-zero, bounds every verification and synthesis
-	// instance launched by the sweeps, keeping runaway instances from
-	// starving a parallel run.
-	Budget smt.Budget
-}
-
-// applyBudget installs the per-instance solver budget on a scenario.
-func (c Config) applyBudget(sc *core.Scenario) {
-	if c.Budget == (smt.Budget{}) {
-		return
-	}
-	opts := smt.DefaultOptions()
-	opts.Budget = c.Budget
-	sc.Options = &opts
 }
 
 // runJobs maps fn over n indexed jobs with up to parallel workers and
@@ -217,7 +203,6 @@ func Fig4b(cfg Config) ([]Fig4bRow, error) {
 		if err := sc.Meas.KeepFraction(j.frac); err != nil {
 			return Fig4bRow{}, err
 		}
-		cfg.applyBudget(sc)
 		dt, _, err := timedVerify(sc)
 		if err != nil {
 			return Fig4bRow{}, fmt.Errorf("fig4b %s frac %v: %w", j.name, j.frac, err)
@@ -265,7 +250,6 @@ func Fig4c(cfg Config) ([]Fig4cRow, error) {
 		sc := core.NewScenario(sys)
 		sc.TargetStates = []int{1 + sys.Buses/2}
 		sc.MaxAlteredMeasurements = j.limit
-		cfg.applyBudget(sc)
 		dt, res, err := timedVerify(sc)
 		if err != nil {
 			return Fig4cRow{}, fmt.Errorf("fig4c %s limit %d: %w", j.name, j.limit, err)
@@ -308,7 +292,6 @@ func Fig4d(cfg Config) ([]Fig4dRow, error) {
 			return Fig4dRow{}, err
 		}
 		sat := verifyScenario(sys, 1+sys.Buses/2)
-		cfg.applyBudget(sat)
 		dtSat, resSat, err := timedVerify(sat)
 		if err != nil {
 			return Fig4dRow{}, err
@@ -322,7 +305,6 @@ func Fig4d(cfg Config) ([]Fig4dRow, error) {
 		unsat := core.NewScenario(sys)
 		unsat.AnyState = true
 		unsat.MaxAlteredMeasurements = 3
-		cfg.applyBudget(unsat)
 		dtUnsat, resUnsat, err := timedVerify(unsat)
 		if err != nil {
 			return Fig4dRow{}, err
@@ -443,7 +425,6 @@ func Fig5b(cfg Config) ([]Fig5bRow, error) {
 		if err != nil {
 			return Fig5bRow{}, fmt.Errorf("fig5b %s: %w", j.name, err)
 		}
-		cfg.applyBudget(req.Attack)
 		start := time.Now()
 		if _, err := synth.Synthesize(req); err != nil {
 			return Fig5bRow{}, fmt.Errorf("fig5b %s frac %v: %w", j.name, j.frac, err)
@@ -492,7 +473,6 @@ func Fig5c(cfg Config) ([]Fig5cRow, error) {
 			return Fig5cRow{}, err
 		}
 		req.Attack.MaxAlteredMeasurements = j.pct * sys.NumMeasurements() / 100
-		cfg.applyBudget(req.Attack)
 		start := time.Now()
 		if _, err := synth.Synthesize(req); err != nil {
 			return Fig5cRow{}, fmt.Errorf("fig5c %s pct %d: %w", j.name, j.pct, err)
@@ -542,7 +522,6 @@ func Fig5d(cfg Config) ([]Fig5dRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.applyBudget(req.Attack)
 		// Find the true minimum protective size: synthesize, then shrink
 		// the budget below each solution until synthesis fails.
 		arch, err := synth.Synthesize(req)
@@ -556,7 +535,6 @@ func Fig5d(cfg Config) ([]Fig5dRow, error) {
 				return nil, err
 			}
 			req2.MaxSecuredBuses = minimum - 1
-			cfg.applyBudget(req2.Attack)
 			smaller, err := synth.Synthesize(req2)
 			if errors.Is(err, synth.ErrNoArchitecture) {
 				break
@@ -577,7 +555,6 @@ func Fig5d(cfg Config) ([]Fig5dRow, error) {
 				return nil, err
 			}
 			req2.MaxSecuredBuses = budget
-			cfg.applyBudget(req2.Attack)
 			start := time.Now()
 			_, err = synth.Synthesize(req2)
 			dt := time.Since(start)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"segrid/internal/grid"
 	"segrid/internal/smt"
 )
 
@@ -114,15 +115,19 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSweepBudgetClassified checks that a starvation-level per-instance
-// budget surfaces as an Inconclusive-classified error instead of a hang or
-// a wrong verdict.
+// TestSweepBudgetClassified checks that a budget-starved instance surfaces
+// from timedVerify, the step every verification sweep row goes through, as
+// an error naming the budget instead of a hang or an "unsat" row.
 func TestSweepBudgetClassified(t *testing.T) {
-	_, err := Fig4c(Config{Out: io.Discard, Parallel: 2, Budget: smt.Budget{MaxConflicts: 1}})
+	sc := verifyScenario(grid.IEEE30(), 16)
+	opts := smt.DefaultOptions()
+	opts.Budget = smt.Budget{MaxConflicts: 1}
+	sc.Options = &opts
+	_, res, err := timedVerify(sc)
 	if err == nil {
-		t.Fatalf("expected budget exhaustion to surface as an error")
+		t.Fatalf("budget-starved verification returned no error (feasible=%v)", res.Feasible)
 	}
-	if !strings.Contains(err.Error(), "inconclusive") && !strings.Contains(err.Error(), "budget") {
+	if !strings.Contains(err.Error(), "inconclusive") || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("error does not name the budget cause: %v", err)
 	}
 }

@@ -152,8 +152,3 @@ func Case(name string) (*System, error) {
 		return nil, fmt.Errorf("grid: unknown test case %q", name)
 	}
 }
-
-// CaseNames lists the registered test systems in increasing size order.
-func CaseNames() []string {
-	return []string{"ieee14", "ieee30", "ieee57", "ieee118", "ieee300"}
-}

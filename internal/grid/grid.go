@@ -100,14 +100,6 @@ func (s *System) InLines(j int) []int { return s.inLines[j] }
 // OutLines returns the IDs of lines whose from-bus is j.
 func (s *System) OutLines(j int) []int { return s.outLines[j] }
 
-// LinesAt returns all line IDs incident to bus j.
-func (s *System) LinesAt(j int) []int {
-	out := make([]int, 0, len(s.inLines[j])+len(s.outLines[j]))
-	out = append(out, s.outLines[j]...)
-	out = append(out, s.inLines[j]...)
-	return out
-}
-
 // Neighbors returns the buses adjacent to j.
 func (s *System) Neighbors(j int) []int {
 	out := make([]int, 0, len(s.inLines[j])+len(s.outLines[j]))

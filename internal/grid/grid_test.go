@@ -239,9 +239,6 @@ func TestMeasurementConfig(t *testing.T) {
 	if !c.Secured[1] || c.Secured[3] {
 		t.Fatalf("Secure wrong")
 	}
-	if err := c.Unsecure(1); err != nil || c.Secured[1] {
-		t.Fatalf("Unsecure wrong")
-	}
 	if err := c.Restrict(7); err != nil || c.Accessible[7] {
 		t.Fatalf("Restrict wrong")
 	}

@@ -77,17 +77,6 @@ func (c *MeasurementConfig) Secure(ids ...int) error {
 	return nil
 }
 
-// Unsecure clears the secured flag on the given measurements.
-func (c *MeasurementConfig) Unsecure(ids ...int) error {
-	if err := c.check(ids); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		c.Secured[id] = false
-	}
-	return nil
-}
-
 // Restrict marks the given measurements as inaccessible to the attacker.
 func (c *MeasurementConfig) Restrict(ids ...int) error {
 	if err := c.check(ids); err != nil {

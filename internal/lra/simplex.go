@@ -628,15 +628,3 @@ func (s *Simplex) chooseEpsilon() *big.Rat {
 
 // Value returns the delta-rational assignment of v (diagnostics and tests).
 func (s *Simplex) Value(v int) numeric.Delta { return s.beta[v] }
-
-// BoundsString renders v's bounds for diagnostics.
-func (s *Simplex) BoundsString(v int) string {
-	lo, hi := "-inf", "+inf"
-	if s.lower[v].has {
-		lo = s.lower[v].val.String()
-	}
-	if s.upper[v].has {
-		hi = s.upper[v].val.String()
-	}
-	return fmt.Sprintf("[%s, %s]", lo, hi)
-}

@@ -250,15 +250,3 @@ func SubVec(a, b []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// AddVec returns a + b.
-func AddVec(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("matrix: vector length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
-}

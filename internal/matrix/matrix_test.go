@@ -139,10 +139,6 @@ func TestVectorHelpers(t *testing.T) {
 	if err != nil || s[0] != 2 || s[1] != 3 {
 		t.Fatalf("SubVec = %v, %v", s, err)
 	}
-	a, err := AddVec([]float64{3, 4}, []float64{1, 1})
-	if err != nil || a[0] != 4 || a[1] != 5 {
-		t.Fatalf("AddVec = %v, %v", a, err)
-	}
 	if _, err := SubVec([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatalf("length mismatch accepted")
 	}

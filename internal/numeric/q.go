@@ -31,10 +31,6 @@ func SetForceBig(v bool) bool {
 // QFromInt returns the rational n.
 func QFromInt(n int64) Q { return Q{s: Rat64{Num: n, Den: 1}} }
 
-// QFromRat64 wraps a small rational (assumed in lowest terms with a
-// positive denominator, as produced by MakeRat64).
-func QFromRat64(r Rat64) Q { return Q{s: r} }
-
 // QFromFrac returns num/den, promoting when normalization overflows.
 // den must be nonzero.
 func QFromFrac(num, den int64) Q {

@@ -16,25 +16,6 @@ import (
 	"math/big"
 )
 
-// Zero returns a fresh rational equal to 0.
-func Zero() *big.Rat { return new(big.Rat) }
-
-// One returns a fresh rational equal to 1.
-func One() *big.Rat { return big.NewRat(1, 1) }
-
-// RatFromInt returns a fresh rational with the value of n.
-func RatFromInt(n int64) *big.Rat { return big.NewRat(n, 1) }
-
-// RatFromFloat converts a float64 to an exact rational. It reports an error
-// for NaN and infinities, which have no rational value.
-func RatFromFloat(f float64) (*big.Rat, error) {
-	r := new(big.Rat)
-	if r.SetFloat64(f) == nil {
-		return nil, fmt.Errorf("numeric: float %v has no rational value", f)
-	}
-	return r, nil
-}
-
 // Delta is an immutable delta-rational a + b·δ over hybrid rationals. The
 // zero value is the number zero. Arithmetic on unpromoted components is
 // allocation-free.
@@ -49,9 +30,6 @@ func DeltaFromRat(r *big.Rat) Delta { return Delta{a: QFromRat(r)} }
 
 // DeltaFromInt returns the delta-rational n + 0·δ.
 func DeltaFromInt(n int64) Delta { return Delta{a: QFromInt(n)} }
-
-// DeltaFromQ returns the delta-rational q + 0·δ.
-func DeltaFromQ(q Q) Delta { return Delta{a: q} }
 
 // NewDelta returns the delta-rational a + b·δ. Neither argument is copied;
 // callers must not mutate them afterwards.
@@ -95,9 +73,6 @@ func (d Delta) Neg() Delta {
 func (d Delta) MulQ(q Q) Delta {
 	return Delta{a: d.a.Mul(q), b: d.b.Mul(q)}
 }
-
-// MulRat returns d scaled by the rational r.
-func (d Delta) MulRat(r *big.Rat) Delta { return d.MulQ(QFromRat(r)) }
 
 // Cmp compares d and e lexicographically on (standard part, δ coefficient),
 // which is the correct order for any sufficiently small positive δ. It

@@ -90,10 +90,18 @@ func FuzzProof(f *testing.F) {
 			return
 		}
 		// A verifying stream must survive trimming, and the trimmed stream
-		// must still verify (TrimTo does not re-check on its own).
-		var out bytes.Buffer
-		if _, err := proof.TrimTo(&out, bytes.NewReader(data)); err != nil {
+		// must still verify once written back out.
+		recs, err := proof.ReadAll(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("valid stream failed to read: %v", err)
+		}
+		trimmed, _, err := proof.Trim(recs)
+		if err != nil {
 			t.Fatalf("valid stream failed to trim: %v", err)
+		}
+		var out bytes.Buffer
+		if err := proof.WriteAll(&out, trimmed); err != nil {
+			t.Fatalf("write trimmed stream: %v", err)
 		}
 		if _, err := proof.Check(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("trimmed stream no longer verifies: %v", err)

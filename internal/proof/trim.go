@@ -2,7 +2,6 @@ package proof
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -258,47 +257,4 @@ func TrimFile(path string) (*TrimStats, error) {
 		BytesBefore:   before.Size(),
 		BytesAfter:    after.Size(),
 	}, nil
-}
-
-// TrimTo trims records read from r and writes the trimmed stream to w,
-// returning the stats. Unlike TrimFile it does not re-verify (the caller
-// typically checks the written stream next).
-func TrimTo(w io.Writer, r io.Reader) (*TrimStats, error) {
-	recs, err := ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	trimmed, _, err := Trim(recs)
-	if err != nil {
-		return nil, err
-	}
-	cw := &countWriter{w: w}
-	if err := WriteAll(cw, trimmed); err != nil {
-		return nil, err
-	}
-	var before int64
-	var e encoder
-	for _, rec := range recs {
-		e.buf = e.buf[:0]
-		e.record(rec)
-		before += int64(len(e.buf))
-	}
-	before += int64(len(magic))
-	return &TrimStats{
-		RecordsBefore: len(recs),
-		RecordsAfter:  len(trimmed),
-		BytesBefore:   before,
-		BytesAfter:    cw.n,
-	}, nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

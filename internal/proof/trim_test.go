@@ -198,24 +198,6 @@ func TestTrimFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTrimToMatchesTrimFile(t *testing.T) {
-	buf := paddedPigeonProof(t)
-	var out bytes.Buffer
-	st, err := TrimTo(&out, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("TrimTo: %v", err)
-	}
-	if int64(buf.Len()) != st.BytesBefore {
-		t.Fatalf("before-size %d, stream is %d bytes", st.BytesBefore, buf.Len())
-	}
-	if int64(out.Len()) != st.BytesAfter {
-		t.Fatalf("after-size %d, stream is %d bytes", st.BytesAfter, out.Len())
-	}
-	if _, err := Check(bytes.NewReader(out.Bytes())); err != nil {
-		t.Fatalf("trimmed stream rejected: %v", err)
-	}
-}
-
 // TestTrimRejectsInvalidStream: trimming verifies as it replays; a stream
 // that does not check must not come back "trimmed".
 func TestTrimRejectsInvalidStream(t *testing.T) {

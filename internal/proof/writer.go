@@ -73,19 +73,6 @@ func NewWriter(w io.Writer) *Writer {
 	return pw
 }
 
-// Create starts a proof stream in a new file at path (truncating any
-// previous content).
-func Create(path string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("proof: %w", err)
-	}
-	pw := NewWriter(f)
-	pw.f = f
-	pw.path = path
-	return pw, nil
-}
-
 // Path returns the file path backing the stream, or "" for an in-memory
 // writer.
 func (w *Writer) Path() string { return w.path }

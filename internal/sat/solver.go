@@ -164,9 +164,6 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-// NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return s.nVars }
-
 // WatchTheoryVar registers v as a theory atom: assignments to v are relayed
 // to the theory via Theory.Assert.
 func (s *Solver) WatchTheoryVar(v Var) { s.theory[v] = true }

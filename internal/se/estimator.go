@@ -85,11 +85,6 @@ func NewEstimator(meas *grid.MeasurementConfig, cfg Config) (*Estimator, error) 
 	}, nil
 }
 
-// MeasurementIDs returns the taken measurement IDs in estimator row order.
-func (e *Estimator) MeasurementIDs() []int {
-	return append([]int(nil), e.ids...)
-}
-
 // NumMeasurements returns m, the number of taken measurements.
 func (e *Estimator) NumMeasurements() int { return len(e.ids) }
 

@@ -75,27 +75,40 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 			return &handlerError{http.StatusBadRequest, fmt.Sprintf("sweep item %d: %v", i, err)}
 		}
 	)
+	// baseGroup holds the items planned on the base spec itself, so its pool
+	// key (a marshal of the whole spec) is computed once, when the first
+	// such item is planned, instead of once per item.
+	var baseGroup *sweepGroup
 	for i := range req.Items {
 		eff, ov, err := planItem(&req.Attack, &req.Items[i])
 		if err != nil {
 			return nil, sysErr(i, err)
 		}
-		key, err := poolKey(eff)
-		if err != nil {
-			return nil, sysErr(i, err)
+		var g *sweepGroup
+		if eff == &req.Attack {
+			g = baseGroup
 		}
-		g, ok := byKey[key]
-		if !ok {
-			sc, err := eff.Scenario()
-			if err == nil {
-				err = sc.Validate()
-			}
+		if g == nil {
+			key, err := poolKey(eff)
 			if err != nil {
 				return nil, sysErr(i, err)
 			}
-			g = &sweepGroup{key: key, sc: sc, proof: proof}
-			byKey[key] = g
-			order = append(order, g)
+			var ok bool
+			if g, ok = byKey[key]; !ok {
+				sc, err := eff.Scenario()
+				if err == nil {
+					err = sc.Validate()
+				}
+				if err != nil {
+					return nil, sysErr(i, err)
+				}
+				g = &sweepGroup{key: key, sc: sc, proof: proof}
+				byKey[key] = g
+				order = append(order, g)
+			}
+			if eff == &req.Attack {
+				baseGroup = g
+			}
 		}
 		sys := g.sc.System()
 		for _, j := range ov.securedBuses {

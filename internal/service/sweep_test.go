@@ -427,3 +427,48 @@ func TestSweepRetainsNoRequest(t *testing.T) {
 		t.Fatalf("pool holds %d encoders, want at most 2", st.Live)
 	}
 }
+
+// TestPlanSweepMarshalsBaseSpecOnce plans overlay-only sweeps over a
+// custom system whose spec exceeds a megabyte. Every item runs on the base
+// spec, so planning 256 items must allocate about what planning one does:
+// the base spec's pool key is marshalled once, not once per item.
+func TestPlanSweepMarshalsBaseSpecOnce(t *testing.T) {
+	const buses = 25000
+	base := scenariofile.AttackSpec{Buses: buses, AnyState: true}
+	for j := 1; j < buses; j++ {
+		base.Lines = append(base.Lines, scenariofile.LineSpec{From: j, To: j + 1, Admittance: 1.5})
+	}
+	raw, err := json.Marshal(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 1<<20 {
+		t.Fatalf("base spec is %d bytes, want at least 1 MiB", len(raw))
+	}
+	s := &Service{cfg: Config{}.withDefaults()}
+	plan := func(n int) uint64 {
+		req := &SweepRequest{Attack: base, Items: make([]SweepItem, n)}
+		for i := range req.Items {
+			req.Items[i].SecuredBuses = []int{1 + i%buses}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		groups, herr := s.planSweep(req, false)
+		runtime.ReadMemStats(&after)
+		if herr != nil {
+			t.Fatalf("plan %d items: %s", n, herr.msg)
+		}
+		if len(groups) != 1 || len(groups[0].items) != n {
+			t.Fatalf("plan %d items: %d groups, want one holding every item", n, len(groups))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// One marshal grows json's pooled buffer by up to about four spec
+	// sizes, depending on whether an earlier marshal left it warm; one
+	// marshal per item costs hundreds.
+	one, many := plan(1), plan(256)
+	if limit := one + 8*uint64(len(raw)); many > limit {
+		t.Fatalf("planning 256 items allocated %d bytes, one item %d: over %d, more than one spec marshal per sweep",
+			many, one, limit)
+	}
+}

@@ -107,11 +107,10 @@ func TestNormalSamplerMoments(t *testing.T) {
 }
 
 func TestNormalSamplerDeterministic(t *testing.T) {
-	a := NewNormalSampler(7).SampleVec(5, 0, 1)
-	b := NewNormalSampler(7).SampleVec(5, 0, 1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sampler not deterministic at %d", i)
+	a, b := NewNormalSampler(7), NewNormalSampler(7)
+	for i := 0; i < 5; i++ {
+		if x, y := a.Sample(0, 1), b.Sample(0, 1); x != y {
+			t.Fatalf("sampler not deterministic at %d: %v vs %v", i, x, y)
 		}
 	}
 }

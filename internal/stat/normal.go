@@ -17,12 +17,3 @@ func NewNormalSampler(seed int64) *NormalSampler {
 func (s *NormalSampler) Sample(mean, stddev float64) float64 {
 	return mean + stddev*s.rng.NormFloat64()
 }
-
-// SampleVec returns n independent N(mean, stddev²) variates.
-func (s *NormalSampler) SampleVec(n int, mean, stddev float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Sample(mean, stddev)
-	}
-	return out
-}

@@ -67,48 +67,29 @@ type Limits struct {
 	// *BudgetExhaustedError with the best candidate so far.
 	Timeout time.Duration
 
-	// CandidateTimeout bounds the verification of a single candidate
-	// (across all escalation retries and extra attack profiles).
-	CandidateTimeout time.Duration
-
 	// InitialBudget, when non-nil, is the per-verification solver budget of
 	// the first attempt. On an Unknown (budget-exhausted) verification the
-	// budget is multiplied by BudgetGrowth and the candidate retried, up to
-	// MaxEscalations attempts: easy candidates stay fast, hard ones get
-	// bounded escalation instead of unbounded search.
+	// budget is multiplied by 4 and the candidate retried, up to 4 attempts
+	// in all: easy candidates stay fast, hard ones get bounded escalation
+	// instead of unbounded search.
 	InitialBudget *smt.Budget
-
-	// BudgetGrowth is the escalation multiplier; values < 2 default to 4.
-	BudgetGrowth float64
-
-	// MaxEscalations is the number of verification attempts per candidate;
-	// ≤ 0 defaults to 4 when InitialBudget is set and 1 otherwise.
-	MaxEscalations int
 }
 
-// policy is the resolved form of Limits used by the synthesis loops.
-type policy struct {
-	initial smt.Budget
-	growth  float64
-	tries   int
-}
+// The escalation ladder a non-zero InitialBudget runs: each inconclusive
+// attempt retries the candidate under a budget budgetGrowth times larger,
+// budgetAttempts attempts in all.
+const (
+	budgetGrowth   = 4
+	budgetAttempts = 4
+)
 
-func (l Limits) policy() policy {
-	p := policy{growth: l.BudgetGrowth, tries: l.MaxEscalations}
-	if l.InitialBudget != nil {
-		p.initial = *l.InitialBudget
+// initialBudget is the budget of a candidate's first verification attempt;
+// the zero Budget means unlimited.
+func (l Limits) initialBudget() smt.Budget {
+	if l.InitialBudget == nil {
+		return smt.Budget{}
 	}
-	if p.growth < 2 {
-		p.growth = 4
-	}
-	if p.tries <= 0 {
-		if p.initial.IsZero() {
-			p.tries = 1
-		} else {
-			p.tries = 4
-		}
-	}
-	return p
+	return *l.InitialBudget
 }
 
 // runContext applies the whole-run timeout to ctx.
@@ -119,22 +100,18 @@ func (l Limits) runContext(ctx context.Context) (context.Context, context.Cancel
 	return ctx, func() {}
 }
 
-// candidateContext applies the per-candidate timeout to ctx.
-func (l Limits) candidateContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if l.CandidateTimeout > 0 {
-		return context.WithTimeout(ctx, l.CandidateTimeout)
-	}
-	return ctx, func() {}
-}
-
 // verifyCandidate checks one attack model against a candidate (asserted by
 // the caller inside the model's current scope) under the escalating budget
-// ladder. It returns the final result; res.Inconclusive set means the
-// ladder was exhausted without a verdict.
-func (p policy) verifyCandidate(ctx context.Context, attack *core.Model) (*core.Result, error) {
-	b := p.initial
+// ladder starting at b; an unlimited b gets a single attempt. It returns
+// the final result; res.Inconclusive set means the ladder was exhausted
+// without a verdict.
+func verifyCandidate(ctx context.Context, attack *core.Model, b smt.Budget) (*core.Result, error) {
+	tries := budgetAttempts
+	if b.IsZero() {
+		tries = 1
+	}
 	var res *core.Result
-	for try := 0; try < p.tries; try++ {
+	for try := 0; try < tries; try++ {
 		attack.Solver().SetBudget(b)
 		var err error
 		res, err = attack.CheckContext(ctx)
@@ -148,7 +125,7 @@ func (p policy) verifyCandidate(ctx context.Context, attack *core.Model) (*core.
 			// Deadline or cancellation: a bigger budget cannot help.
 			break
 		}
-		b = b.Scale(p.growth)
+		b = b.Scale(budgetGrowth)
 	}
 	return res, nil
 }

@@ -74,18 +74,17 @@ func TestBudgetRunTimeout(t *testing.T) {
 }
 
 // TestBudgetEscalationConverges starts verification with a budget far too
-// small for the scenario and relies on the escalation ladder: the synthesis
-// must still find the paper's architecture instead of giving up.
+// small for the scenario and relies on the fixed ×4, four-attempt
+// escalation ladder: the synthesis must still find the paper's
+// architecture instead of giving up.
 func TestBudgetEscalationConverges(t *testing.T) {
 	req, err := CaseStudyRequirements(2, 5)
 	if err != nil {
 		t.Fatalf("CaseStudyRequirements: %v", err)
 	}
-	req.Limits = Limits{
-		InitialBudget:  &smt.Budget{MaxConflicts: 2, MaxPivots: 2},
-		BudgetGrowth:   8,
-		MaxEscalations: 8,
-	}
+	req.Limits = Limits{InitialBudget: &smt.Budget{MaxConflicts: 2, MaxPivots: 2}}
+	// Without the LP screen every candidate check runs on the SMT ladder.
+	req.NoScreen = true
 	arch, err := Synthesize(req)
 	if err != nil {
 		t.Fatalf("Synthesize with escalating budget: %v", err)
@@ -95,19 +94,16 @@ func TestBudgetEscalationConverges(t *testing.T) {
 	}
 }
 
-// TestBudgetEscalationExhausted caps escalation below what the scenario
-// needs: the run must end in BudgetExhaustedError whose Reason is the
-// solver's budget, never a bogus architecture or ErrNoArchitecture.
+// TestBudgetEscalationExhausted starts the ladder so low that its last
+// attempt (1·4³ = 64 propagations) still cannot decide a candidate: the
+// run must end in BudgetExhaustedError whose Reason is the solver's
+// budget, never a bogus architecture or ErrNoArchitecture.
 func TestBudgetEscalationExhausted(t *testing.T) {
 	req, err := CaseStudyRequirements(2, 5)
 	if err != nil {
 		t.Fatalf("CaseStudyRequirements: %v", err)
 	}
-	req.Limits = Limits{
-		InitialBudget:  &smt.Budget{MaxConflicts: 1, MaxPivots: 1},
-		BudgetGrowth:   2,
-		MaxEscalations: 1, // one attempt, no headroom
-	}
+	req.Limits = Limits{InitialBudget: &smt.Budget{MaxPropagations: 1}}
 	// The LP screen would answer these candidate checks without the SMT
 	// solver, and this test is specifically about the SMT budget ladder.
 	req.NoScreen = true

@@ -242,7 +242,6 @@ func (m *selectionModel) assertBlock(fs []smt.Formula) {
 // the next — and keeps the progress a give-up reports.
 type worker struct {
 	j       *job
-	pol     policy
 	attacks []*core.Model
 	scens   []*core.Scenario // parallel to attacks (screening)
 	writers []*proof.Writer
@@ -260,7 +259,7 @@ type worker struct {
 // newWorker builds a worker's attack models, streaming their certificates
 // to attack-<tag>-<i>.proof when the job logs proofs.
 func (j *job) newWorker(tag string) (*worker, error) {
-	w := &worker{j: j, pol: j.limits.policy(), scens: j.scenarios, harvest: 1, iters: new(atomic.Int64)}
+	w := &worker{j: j, scens: j.scenarios, harvest: 1, iters: new(atomic.Int64)}
 	if j.proofDir != "" {
 		var err error
 		if w.scens, w.writers, w.paths, err = withProofWriters(j.proofDir, tag, j.scenarios); err != nil {
@@ -373,14 +372,12 @@ func (w *worker) search(ctx context.Context, cube []cubeLit) ([]int, error) {
 }
 
 // verify is the verify-and-block step. The candidate is asserted in a
-// pushed scope on every attack model in turn, under the per-candidate
-// deadline and the escalating budget ladder; unsat across all of them
+// pushed scope on every attack model in turn, under the escalating budget
+// ladder; unsat across all of them
 // means the candidate resists the attacker in every required scenario. The
 // first counterexample blocks the candidate. An Unknown that survives
 // escalation comes back as inconclusive.
 func (w *worker) verify(ctx context.Context, sel *selectionModel, candidate []int) (resists bool, inconclusive error, err error) {
-	ctx, cancel := w.j.limits.candidateContext(ctx)
-	defer cancel()
 	for ai, attack := range w.attacks {
 		if w.j.screen != nil {
 			verdict, support := w.j.screen(ctx, w.scens[ai], candidate)
@@ -419,7 +416,7 @@ func (w *worker) refute(ctx context.Context, sel *selectionModel, attack *core.M
 	if err := w.j.secure(attack, candidate); err != nil {
 		return false, nil, err
 	}
-	res, err := w.pol.verifyCandidate(ctx, attack)
+	res, err := verifyCandidate(ctx, attack, w.j.limits.initialBudget())
 	if err != nil {
 		return false, nil, fmt.Errorf("synth: candidate verification: %w", err)
 	}
@@ -436,7 +433,7 @@ func (w *worker) refute(ctx context.Context, sel *selectionModel, attack *core.M
 		if err := w.j.secure(attack, support); err != nil {
 			return true, nil, err
 		}
-		res, err = w.pol.verifyCandidate(ctx, attack)
+		res, err = verifyCandidate(ctx, attack, w.j.limits.initialBudget())
 		if err != nil {
 			return true, nil, fmt.Errorf("synth: harvest verification: %w", err)
 		}
