@@ -28,9 +28,10 @@
 //	                  may ask for per-request certificate files under dir,
 //	                  and POST /v1/proofcheck re-checks them independently
 //	-pool-live n      warm-encoder pool size cap (default 64), the pool's
-//	                  memory bound; a cold build at the cap evicts the
-//	                  least-recently-used idle encoder
-//	-pool-idle n      warm encoders kept per (topology, shape) key (default 2)
+//	                  memory bound and its only one; a cold build at the cap
+//	                  evicts the least-recently-used idle encoder of any
+//	                  key. A key keeps at most as many idle encoders as it
+//	                  had leases at once, and -concurrency caps those
 //	-sweep-max-items n   per-request item cap for POST /v1/sweep (default 256)
 //	-cube-workers n   default cube-and-conquer width for bus-granular
 //	                  synthesis: > 1 fans the search across that many
@@ -93,7 +94,6 @@ func main() {
 	maxPivots := fs.Int64("max-pivots", 0, "per-check simplex pivot budget (0 = unlimited)")
 	proofDir := fs.String("proof-dir", "", "enable per-request UNSAT certificates under this directory")
 	poolLive := fs.Int("pool-live", 0, "warm-encoder pool size cap (0 = default)")
-	poolIdle := fs.Int("pool-idle", 0, "warm encoders kept per key (0 = default)")
 	sweepMaxItems := fs.Int("sweep-max-items", 0, "per-request item cap for POST /v1/sweep (0 = default 256)")
 	cubeWorkers := fs.Int("cube-workers", 0, "default cube-and-conquer workers for synthesis (1 = sequential, -1 = host default)")
 	maxWorkers := fs.Int("max-workers", 0, "per-request cap on the cube worker count (0 = default 8)")
@@ -114,7 +114,6 @@ func main() {
 		Budget:               smt.Budget{MaxConflicts: *maxConflicts, MaxPivots: *maxPivots},
 		ProofDir:             *proofDir,
 		PoolMaxLive:          *poolLive,
-		PoolMaxIdlePerKey:    *poolIdle,
 		MaxSweepItems:        *sweepMaxItems,
 		CubeWorkers:          *cubeWorkers,
 		MaxWorkersPerRequest: *maxWorkers,

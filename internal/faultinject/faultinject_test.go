@@ -119,25 +119,26 @@ func TestInjectorCancelAndPoison(t *testing.T) {
 	}
 }
 
-// TestInjectorStallHitsDeadline checks a stalled solver is reaped by the
-// wall-clock budget rather than hanging: the tail-latency guard the service
+// TestInjectorStallHitsDeadline checks a stalled solver is reaped by its
+// context deadline rather than hanging: the tail-latency guard the service
 // relies on.
 func TestInjectorStallHitsDeadline(t *testing.T) {
 	s := smt.NewSolver(smt.DefaultOptions())
 	assertUnsatCore(s)
-	s.SetBudget(smt.Budget{MaxDuration: 20 * time.Millisecond})
 	inj := NewInjector(Decision{Kind: Stall, AfterPolls: 5, StallFor: time.Millisecond})
 	s.SetInterrupter(inj)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := s.Check()
+	res, err := s.CheckContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != smt.Unknown {
 		t.Fatalf("Status = %v, want Unknown", res.Status)
 	}
-	if res.Stats.Unknown != smt.ReasonWallClockBudget {
-		t.Fatalf("Stats.Unknown = %v (why %v), want wall-clock budget", res.Stats.Unknown, res.Why)
+	if res.Stats.Unknown != smt.ReasonDeadline {
+		t.Fatalf("Stats.Unknown = %v (why %v), want deadline", res.Stats.Unknown, res.Why)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("stalled check ran %s, deadline did not bite", elapsed)

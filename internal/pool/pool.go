@@ -14,15 +14,14 @@
 //     whose internal SAT/simplex state therefore cannot be trusted. A
 //     discarded item never re-enters the pool, under any path.
 //
-// Idle items are bounded per key: a Return that pushes its key past
-// MaxIdlePerKey evicts that key's least recently used item (never the one
-// just returned). Every path that removes an item from the pool's
-// accounting — eviction, Reset-failure quarantine, Discard, Drain — invokes
-// the optional Config.Close hook exactly once, outside the pool lock, so
-// owners can release encoder resources deterministically.
+// Every path that removes an item from the pool's accounting — eviction,
+// Reset-failure quarantine, Discard, Drain — invokes the optional
+// Config.Close hook exactly once, outside the pool lock, so owners can
+// release encoder resources deterministically.
 //
 // The pool bounds total live encoders (checked-out plus idle), which also
-// bounds the idle ones. A global recency order spans every key: a cold build
+// bounds the idle ones; a key never holds more idle items than it had
+// concurrent leases. A global recency order spans every key: a cold build
 // at the bound evicts the global LRU idle item to make room, so idle
 // encoders never lock a new key out; only when every live item is leased
 // does Checkout fail fast with ErrExhausted, leaving the caller to decide
@@ -72,11 +71,6 @@ type Config[T any] struct {
 	// skips the hook.
 	Close func(item T)
 
-	// MaxIdlePerKey bounds the warm list per key; a Return past it evicts
-	// that key's least recently used idle item (the returning item stays —
-	// it is the warmest). Default 2.
-	MaxIdlePerKey int
-
 	// MaxLive bounds live items — checked out plus idle — across all keys;
 	// a cold build at the bound evicts the global LRU idle item. Default 64.
 	MaxLive int
@@ -99,8 +93,8 @@ type Stats struct {
 	// ResetFailures counts returns rejected by the Reset hook (a subset of
 	// Discards).
 	ResetFailures uint64
-	// Evictions counts idle items dropped by the LRU policy (per-key
-	// bound, or a cold build at the live bound).
+	// Evictions counts idle items dropped by the LRU policy: a cold build
+	// at the live bound evicts the global least recently used one.
 	Evictions uint64
 	// Live and Idle are current gauges: items outstanding or warm.
 	Live, Idle int
@@ -135,9 +129,6 @@ func New[T any](cfg Config[T]) (*Pool[T], error) {
 	if cfg.New == nil {
 		return nil, fmt.Errorf("pool: Config.New is required")
 	}
-	if cfg.MaxIdlePerKey <= 0 {
-		cfg.MaxIdlePerKey = 2
-	}
 	if cfg.MaxLive <= 0 {
 		cfg.MaxLive = 64
 	}
@@ -164,9 +155,6 @@ type Lease[T any] struct {
 	pool  *Pool[T]
 	state leaseState
 }
-
-// Key returns the compatibility key the lease was checked out under.
-func (l *Lease[T]) Key() Key { return l.key }
 
 // Warm reports whether the lease was served from the warm list (false: the
 // item was built cold for this lease).
@@ -198,7 +186,7 @@ func (p *Pool[T]) Checkout(ctx context.Context, key Key) (*Lease[T], error) {
 			p.mu.Unlock()
 			return nil, ErrExhausted
 		}
-		victim = p.removeLocked(p.lru)
+		victim = p.evictLRULocked()
 	}
 	p.live++ // reserve the slot before the slow build
 	p.stats.Misses++
@@ -223,11 +211,8 @@ func (p *Pool[T]) Checkout(ctx context.Context, key Key) (*Lease[T], error) {
 
 // Return puts the leased item back on its key's warm list after the Reset
 // validation. A failed Reset quarantines the item instead (its Close hook
-// runs) — Return never pools an item the Reset hook rejected. Pooling the
-// item may push its key past MaxIdlePerKey, evicting the key's least
-// recently used item (its Close hook runs; the returning item is the
-// warmest and is never the victim). It errors if the lease was already
-// settled.
+// runs) — Return never pools an item the Reset hook rejected, and never
+// evicts another. It errors if the lease was already settled.
 func (l *Lease[T]) Return() error {
 	if err := l.settle(returned); err != nil {
 		return err
@@ -251,41 +236,21 @@ func (l *Lease[T]) Return() error {
 	p.pushMRU(e)
 	p.idleCount++
 	p.stats.Returns++
-	evicted := p.evictLocked(l.key)
 	p.mu.Unlock()
-
-	for _, v := range evicted {
-		p.close(v.item)
-	}
 	return nil
 }
 
-// evictLocked enforces MaxIdlePerKey after a return to key, evicting that
-// key's least recently used items and collecting them for the caller to
-// Close outside the lock.
-func (p *Pool[T]) evictLocked(key Key) []*idleEntry[T] {
-	var victims []*idleEntry[T]
-	for len(p.idle[key]) > p.cfg.MaxIdlePerKey {
-		victims = append(victims, p.removeLocked(p.idle[key][0]))
-	}
-	return victims
-}
-
-// removeLocked evicts one idle entry: unlinks it from both lists and charges
-// the eviction counters.
-func (p *Pool[T]) removeLocked(e *idleEntry[T]) *idleEntry[T] {
-	list := p.idle[e.key]
-	for i, cand := range list {
-		if cand == e {
-			copy(list[i:], list[i+1:])
-			list[len(list)-1] = nil
-			if len(list) == 1 {
-				delete(p.idle, e.key)
-			} else {
-				p.idle[e.key] = list[:len(list)-1]
-			}
-			break
-		}
+// evictLRULocked evicts the global least recently used idle entry, which is
+// also the oldest on its key's warm list (both orders are return order), and
+// charges the eviction counters.
+func (p *Pool[T]) evictLRULocked() *idleEntry[T] {
+	e := p.lru
+	if list := p.idle[e.key]; len(list) == 1 {
+		delete(p.idle, e.key)
+	} else {
+		copy(list, list[1:])
+		list[len(list)-1] = nil
+		p.idle[e.key] = list[:len(list)-1]
 	}
 	p.unlink(e)
 	p.idleCount--

@@ -1,7 +1,9 @@
 package proof
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -10,10 +12,12 @@ import (
 // CreateAtomic starts a proof stream that becomes visible at path only on a
 // successful Close: records are written to a hidden temporary file in the
 // same directory and renamed into place after the final flush. A crashed or
-// killed writer leaves at most a ".tmp"-suffixed orphan, never a half-written
+// killed writer leaves at most a hidden ".tmp-" orphan, never a half-written
 // certificate at path — so a concurrent or later proofcheck can trust that
-// every file it finds at a published name is complete. A sticky write error
-// removes the temporary and surfaces from Close; nothing appears at path.
+// every file it finds at a published name is complete. The temporary is
+// made by Stage, so the published certificate has an os.Create file's mode.
+// A sticky write error removes the temporary and surfaces from Close;
+// nothing appears at path.
 //
 // Path reports the publication path throughout the writer's lifetime, even
 // though the file only exists there after Close.
@@ -22,7 +26,7 @@ func CreateAtomic(path string) (*Writer, error) {
 	if dir == "" {
 		dir = "."
 	}
-	f, err := os.CreateTemp(dir, "."+base+".tmp-*")
+	f, err := Stage(dir, "."+base+".tmp-", "")
 	if err != nil {
 		return nil, fmt.Errorf("proof: %w", err)
 	}
@@ -48,6 +52,24 @@ func (w *Writer) finalize() {
 	if err := os.Rename(tmp, w.path); err != nil {
 		w.err = fmt.Errorf("proof: publish certificate: %w", err)
 		os.Remove(tmp)
+	}
+}
+
+// Stage creates an empty staging file in dir for a certificate that is
+// renamed into place once complete, named by UniqueName(prefix, suffix). It
+// is created exclusively with the mode os.Create gives (0666 less the
+// umask), so a published certificate is as readable as any other file the
+// process writes there, by a checker running under another account too. A
+// name an earlier process with the same pid left behind is skipped, never
+// reused.
+func Stage(dir, prefix, suffix string) (*os.File, error) {
+	for tries := 1; ; tries++ {
+		name := filepath.Join(dir, UniqueName(prefix, suffix))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, fs.ErrExist) && tries < 100 {
+			continue
+		}
+		return f, err
 	}
 }
 

@@ -2,6 +2,7 @@ package proof
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,6 +78,73 @@ func TestAtomicWriteErrorPublishesNothing(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("dir after failed Close = %v, want empty", ents)
 	}
+}
+
+// TestStagedCertificateMode checks a published certificate, and the same
+// certificate trimmed in place, get the mode os.Create gives a file in the
+// same directory, not a private temporary's 0600, so a checker running
+// under another account can read them.
+func TestStagedCertificateMode(t *testing.T) {
+	dir := t.TempDir()
+	ref, err := os.Create(filepath.Join(dir, "reference"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	want := fileMode(t, ref.Name())
+
+	path := filepath.Join(dir, "req-3.proof")
+	w, err := CreateAtomic(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.LogInput([]sat.Lit{sat.PosLit(0)})
+	w.LogInput([]sat.Lit{sat.NegLit(0)})
+	w.EndUnsat(nil)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileMode(t, path); got != want {
+		t.Fatalf("published certificate mode %v, want %v", got, want)
+	}
+	if _, err := TrimFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileMode(t, path); got != want {
+		t.Fatalf("trimmed certificate mode %v, want %v", got, want)
+	}
+}
+
+// TestStageSkipsTakenName checks Stage never reuses a staging name that is
+// already taken (say, by an earlier process with the same pid): it moves on
+// to a fresh name and leaves the existing file untouched.
+func TestStageSkipsTakenName(t *testing.T) {
+	dir := t.TempDir()
+	taken := filepath.Join(dir, fmt.Sprintf(".stage-%d-%d", os.Getpid(), uniqueSeq.Load()+1))
+	if err := os.WriteFile(taken, []byte("orphan"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Stage(dir, ".stage-", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.Name() == taken {
+		t.Fatalf("Stage reused the taken name %s", taken)
+	}
+	if data, err := os.ReadFile(taken); err != nil || string(data) != "orphan" {
+		t.Fatalf("taken file now holds %q (err %v), want it untouched", data, err)
+	}
+}
+
+// fileMode reports path's permission bits.
+func fileMode(t *testing.T, path string) os.FileMode {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Mode().Perm()
 }
 
 // TestUniqueNameCollisionFree checks process-local uniqueness and shape.

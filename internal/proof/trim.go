@@ -222,7 +222,7 @@ func TrimFile(path string) (*TrimStats, error) {
 	}
 	// The temp file lives next to the certificate so the rename stays on one
 	// filesystem.
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".trim-*")
+	tmp, err := Stage(filepath.Dir(path), ".trim-", "")
 	if err != nil {
 		return nil, fmt.Errorf("proof: %w", err)
 	}

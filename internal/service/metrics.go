@@ -110,16 +110,6 @@ type Metrics struct {
 		Running      int    `json:"running"`
 	} `json:"sched"`
 
-	// Supports reports the cross-request cube support-pool registry: hits
-	// mean a synthesis run started with blocking clauses harvested by an
-	// earlier request on the same attack model.
-	Supports struct {
-		Hits      uint64 `json:"hits"`
-		Misses    uint64 `json:"misses"`
-		Evictions uint64 `json:"evictions"`
-		Entries   int    `json:"entries"`
-	} `json:"supports"`
-
 	Pool struct {
 		Hits          uint64 `json:"hits"`
 		Misses        uint64 `json:"misses"`
@@ -133,7 +123,7 @@ type Metrics struct {
 	} `json:"pool"`
 }
 
-func (m *metrics) snapshot(ps pool.Stats, ss sched.Stats, rs pool.RegistryStats) *Metrics {
+func (m *metrics) snapshot(ps pool.Stats, ss sched.Stats) *Metrics {
 	out := &Metrics{
 		Requests:     m.requests.Load(),
 		BadRequests:  m.badRequests.Load(),
@@ -170,10 +160,6 @@ func (m *metrics) snapshot(ps pool.Stats, ss sched.Stats, rs pool.RegistryStats)
 	out.Sched.Waiting = ss.Waiting
 	out.Sched.Queued = ss.Queued
 	out.Sched.Running = ss.Running
-	out.Supports.Hits = rs.Hits
-	out.Supports.Misses = rs.Misses
-	out.Supports.Evictions = rs.Evictions
-	out.Supports.Entries = rs.Entries
 	out.Pool.Hits = ps.Hits
 	out.Pool.Misses = ps.Misses
 	out.Pool.BuildFailures = ps.BuildFailures

@@ -83,11 +83,9 @@ type Config struct {
 	// ProofDir enables certificate production and checking; empty disables
 	// the proof features. The directory must exist.
 	ProofDir string
-	// PoolMaxLive / PoolMaxIdlePerKey size the warm-encoder pool: the live
-	// encoder cap, which is also the memory bound, and the warm encoders
-	// kept per key (see pool.Config). Zero: pool defaults.
-	PoolMaxLive       int
-	PoolMaxIdlePerKey int
+	// PoolMaxLive caps the warm-encoder pool's live encoders, which is also
+	// its memory bound (see pool.Config). Zero: the pool default.
+	PoolMaxLive int
 	// MaxSweepItems bounds the item count of one /v1/sweep request
 	// (default 256). Each encoder-compatibility group is its own scheduler
 	// unit, so a large sweep interleaves with other requests; the cap
@@ -169,29 +167,26 @@ type warmModel struct {
 // Service is the analytics server. Construct with New; register its Handler
 // on an http.Server.
 type Service struct {
-	cfg      Config
-	pool     *pool.Pool[*warmModel]
-	sched    *sched.Scheduler
-	supports *pool.Registry[pool.Key, *synth.SupportPool] // cube supports keyed by attack model
-	m        metrics
-	start    time.Time
+	cfg   Config
+	pool  *pool.Pool[*warmModel]
+	sched *sched.Scheduler
+	m     metrics
+	start time.Time
 }
 
 // New constructs a Service.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:      cfg,
-		sched:    sched.New(sched.Config{Workers: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue, QueueWait: cfg.QueueWait}),
-		supports: pool.NewRegistry[pool.Key, *synth.SupportPool](0),
-		start:    time.Now(),
+		cfg:   cfg,
+		sched: sched.New(sched.Config{Workers: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue, QueueWait: cfg.QueueWait}),
+		start: time.Now(),
 	}
 	p, err := pool.New(pool.Config[*warmModel]{
-		MaxLive:       cfg.PoolMaxLive,
-		MaxIdlePerKey: cfg.PoolMaxIdlePerKey,
-		New:           s.buildModel,
-		Reset:         resetModel,
-		Close:         s.closeModel,
+		MaxLive: cfg.PoolMaxLive,
+		New:     s.buildModel,
+		Reset:   resetModel,
+		Close:   s.closeModel,
 	})
 	if err != nil {
 		return nil, err
@@ -521,16 +516,6 @@ func (s *Service) synthesizeUnit(ctx context.Context, req *SynthesizeRequest, wo
 	}
 	if workers > 1 {
 		sreq.CubeWorkers = workers
-		// Cube runs on the same attack model share one persistent support
-		// pool: blocking clauses harvested from verification counterexamples
-		// are facts about the attack scenario alone (never about the
-		// defender's budget or exclusions), so a later request with a
-		// different budget starts from every support earlier requests paid
-		// to discover. Keyed like the encoder pool; a key error just leaves
-		// the run on a private pool.
-		if key, err := poolKey(&spec.Attack); err == nil {
-			sreq.SupportPool = s.supports.GetOrCreate(key, synth.NewSupportPool)
-		}
 	}
 	arch, err := synth.SynthesizeContext(ctx, sreq)
 	if err != nil {
@@ -621,7 +606,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.m.snapshot(s.pool.Stats(), s.sched.Stats(), s.supports.Stats()))
+	writeJSON(w, http.StatusOK, s.m.snapshot(s.pool.Stats(), s.sched.Stats()))
 }
 
 // handlerError carries an HTTP status through the request pipeline.

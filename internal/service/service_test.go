@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -300,7 +301,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 // TestProofRoundTrip requests a certificate for an infeasible check and
 // re-validates it through the proofcheck endpoint; the proof directory must
-// hold exactly the published file, no staging temps.
+// hold exactly the published file, no staging temps, with the mode
+// os.Create gives, so a checker under another account can read it.
 func TestProofRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	_, srv := newTestServer(t, Config{ProofDir: dir})
@@ -333,6 +335,31 @@ func TestProofRoundTrip(t *testing.T) {
 	if len(ents) != 1 || ents[0].Name() != r.ProofFile {
 		t.Fatalf("proof dir = %v, want exactly the published %s", ents, r.ProofFile)
 	}
+	if got, want := fileMode(t, filepath.Join(dir, r.ProofFile)), createdMode(t, dir); got != want {
+		t.Fatalf("certificate mode %v, want %v like an os.Create file", got, want)
+	}
+}
+
+// createdMode reports the permission bits os.Create gives a new file in dir.
+func createdMode(t *testing.T, dir string) os.FileMode {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, "mode-reference"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	defer os.Remove(f.Name())
+	return fileMode(t, f.Name())
+}
+
+// fileMode reports path's permission bits.
+func fileMode(t *testing.T, path string) os.FileMode {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Mode().Perm()
 }
 
 // TestAdmissionProofCheckIsShed checks a certificate check is scheduled

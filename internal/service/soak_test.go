@@ -220,7 +220,7 @@ func TestSoakVerifySweep(t *testing.T) {
 
 	// The ledger adds up: every request was answered, shed or refused —
 	// none vanished.
-	m := svc.m.snapshot(svc.PoolStats(), svc.SchedStats(), svc.supports.Stats())
+	m := svc.m.snapshot(svc.PoolStats(), svc.SchedStats())
 	total := m.Feasible + m.Infeasible + m.Inconclusive + m.Shed429 + m.Shed503 + m.BadRequests
 	if got := uint64(workers * iters); m.Requests != got || total != got {
 		t.Fatalf("request ledger: %d requests, outcomes sum to %d, want %d (%+v)", m.Requests, total, got, m)

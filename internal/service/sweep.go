@@ -75,19 +75,23 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 			return &handlerError{http.StatusBadRequest, fmt.Sprintf("sweep item %d: %v", i, err)}
 		}
 	)
-	// baseGroup holds the items planned on the base spec itself, so its pool
-	// key (a marshal of the whole spec) is computed once, when the first
-	// such item is planned, instead of once per item.
-	var baseGroup *sweepGroup
+	// planItem changes only Targets, MaxMeasurements and MaxBuses, so those
+	// three values name an item's effective spec; memoizing its group by
+	// them marshals the whole spec into a pool key once per distinct delta
+	// instead of once per item. Targets render alike when nil or empty, as
+	// they marshal alike (omitempty).
+	type delta struct {
+		targets           string
+		maxMeas, maxBuses int
+	}
+	memo := make(map[delta]*sweepGroup)
 	for i := range req.Items {
 		eff, ov, err := planItem(&req.Attack, &req.Items[i])
 		if err != nil {
 			return nil, sysErr(i, err)
 		}
-		var g *sweepGroup
-		if eff == &req.Attack {
-			g = baseGroup
-		}
+		d := delta{fmt.Sprint(eff.Targets), eff.MaxMeasurements, eff.MaxBuses}
+		g := memo[d]
 		if g == nil {
 			key, err := poolKey(eff)
 			if err != nil {
@@ -106,9 +110,7 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 				byKey[key] = g
 				order = append(order, g)
 			}
-			if eff == &req.Attack {
-				baseGroup = g
-			}
+			memo[d] = g
 		}
 		sys := g.sc.System()
 		for _, j := range ov.securedBuses {

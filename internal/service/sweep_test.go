@@ -371,7 +371,7 @@ func TestSoakSweep(t *testing.T) {
 
 	// The sweep ledger adds up: every accepted sweep's items produced
 	// exactly one counted verdict each.
-	m := svc.m.snapshot(svc.PoolStats(), svc.SchedStats(), svc.supports.Stats())
+	m := svc.m.snapshot(svc.PoolStats(), svc.SchedStats())
 	if m.Sweeps != uint64(okSweeps) || m.SweepItems != uint64(okItems) {
 		t.Fatalf("sweep ledger: %d sweeps / %d items, want %d / %d", m.Sweeps, m.SweepItems, okSweeps, okItems)
 	}
@@ -428,47 +428,84 @@ func TestSweepRetainsNoRequest(t *testing.T) {
 	}
 }
 
+// chainSpec is a custom-system attack spec over a buses-long chain, over a
+// megabyte once marshalled, with goal: targets or anyState.
+func chainSpec(t *testing.T, buses int, targets []int) (scenariofile.AttackSpec, int) {
+	t.Helper()
+	spec := scenariofile.AttackSpec{Buses: buses, Targets: targets, AnyState: targets == nil}
+	for j := 1; j < buses; j++ {
+		spec.Lines = append(spec.Lines, scenariofile.LineSpec{From: j, To: j + 1, Admittance: 1.5})
+	}
+	raw, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 1<<20 {
+		t.Fatalf("chain spec is %d bytes, want at least 1 MiB", len(raw))
+	}
+	return spec, len(raw)
+}
+
+// planAllocs plans an n-item sweep over base, checks it forms wantGroups
+// groups holding every item, and returns the bytes planning allocated. Two
+// collections first empty every sync.Pool, so the first marshal of every
+// measured plan regrows json's pooled buffer from cold.
+func planAllocs(t *testing.T, base scenariofile.AttackSpec, n, wantGroups int, item func(i int) SweepItem) uint64 {
+	t.Helper()
+	s := &Service{cfg: Config{}.withDefaults()}
+	req := &SweepRequest{Attack: base, Items: make([]SweepItem, n)}
+	for i := range req.Items {
+		req.Items[i] = item(i)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	groups, herr := s.planSweep(req, false)
+	runtime.ReadMemStats(&after)
+	if herr != nil {
+		t.Fatalf("plan %d items: %s", n, herr.msg)
+	}
+	planned := 0
+	for _, g := range groups {
+		planned += len(g.items)
+	}
+	if len(groups) != wantGroups || planned != n {
+		t.Fatalf("plan %d items: %d groups holding %d items, want %d groups holding all", n, len(groups), planned, wantGroups)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestPlanSweepMarshalsBaseSpecOnce plans overlay-only sweeps over a
 // custom system whose spec exceeds a megabyte. Every item runs on the base
 // spec, so planning 256 items must allocate about what planning one does:
 // the base spec's pool key is marshalled once, not once per item.
 func TestPlanSweepMarshalsBaseSpecOnce(t *testing.T) {
 	const buses = 25000
-	base := scenariofile.AttackSpec{Buses: buses, AnyState: true}
-	for j := 1; j < buses; j++ {
-		base.Lines = append(base.Lines, scenariofile.LineSpec{From: j, To: j + 1, Admittance: 1.5})
-	}
-	raw, err := json.Marshal(&base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 1<<20 {
-		t.Fatalf("base spec is %d bytes, want at least 1 MiB", len(raw))
-	}
-	s := &Service{cfg: Config{}.withDefaults()}
-	plan := func(n int) uint64 {
-		req := &SweepRequest{Attack: base, Items: make([]SweepItem, n)}
-		for i := range req.Items {
-			req.Items[i].SecuredBuses = []int{1 + i%buses}
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		groups, herr := s.planSweep(req, false)
-		runtime.ReadMemStats(&after)
-		if herr != nil {
-			t.Fatalf("plan %d items: %s", n, herr.msg)
-		}
-		if len(groups) != 1 || len(groups[0].items) != n {
-			t.Fatalf("plan %d items: %d groups, want one holding every item", n, len(groups))
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	// One marshal grows json's pooled buffer by up to about four spec
-	// sizes, depending on whether an earlier marshal left it warm; one
-	// marshal per item costs hundreds.
-	one, many := plan(1), plan(256)
-	if limit := one + 8*uint64(len(raw)); many > limit {
+	base, size := chainSpec(t, buses, nil)
+	overlay := func(i int) SweepItem { return SweepItem{SecuredBuses: []int{1 + i%buses}} }
+	// Both plans marshal once from a cold buffer; one marshal per item
+	// costs hundreds of spec sizes.
+	one, many := planAllocs(t, base, 1, 1, overlay), planAllocs(t, base, 256, 1, overlay)
+	if limit := one + 8*uint64(size); many > limit {
 		t.Fatalf("planning 256 items allocated %d bytes, one item %d: over %d, more than one spec marshal per sweep",
 			many, one, limit)
+	}
+}
+
+// TestPlanSweepMarshalsEachDeltaOnce plans goal-replacement sweeps over the
+// same chain: 256 items over 7 distinct targets form 7 re-specced groups,
+// and must allocate about what 7 items, one per target, do: each distinct
+// delta's spec is marshalled once, not once per item. Each of the 7
+// marshals may regrow json's pooled buffer from cold, by up to about eight
+// spec sizes under the race detector (whose sync.Pool drops one Put in
+// four); a marshal per item costs hundreds of spec sizes.
+func TestPlanSweepMarshalsEachDeltaOnce(t *testing.T) {
+	base, size := chainSpec(t, 25000, []int{2})
+	goal := func(i int) SweepItem { return SweepItem{Targets: []int{3 + i%7}} }
+	seven, many := planAllocs(t, base, 7, 7, goal), planAllocs(t, base, 256, 7, goal)
+	if limit := seven + 7*8*uint64(size); many > limit {
+		t.Fatalf("planning 256 items allocated %d bytes, seven items %d: over %d, more than one spec marshal per delta",
+			many, seven, limit)
 	}
 }

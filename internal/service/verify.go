@@ -104,7 +104,7 @@ func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, r
 		finalName string
 	)
 	if g.proof {
-		f, err := os.CreateTemp(s.cfg.ProofDir, ".verify-*.tmp")
+		f, err := proof.Stage(s.cfg.ProofDir, ".verify-", ".tmp")
 		if err != nil {
 			return itemFailure(fmt.Sprintf("stage certificate: %v", err))
 		}

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 )
 
 // Budget bounds the resources a single Check/CheckContext call may consume.
-// A zero field means "unlimited" for that resource. When any bound is hit
+// A zero field means "unlimited" for that resource; wall-clock limits are
+// the CheckContext context's deadline. When any bound is hit
 // the check stops and returns a Result with Status Unknown, fully populated
 // Stats, and Why set to a *BudgetError naming the exhausted resource — it
 // never hangs and never returns a nil Result for a budget stop.
@@ -21,14 +20,6 @@ type Budget struct {
 	MaxPropagations int64
 	// MaxPivots bounds simplex pivot steps across all theory checks.
 	MaxPivots int64
-	// MaxDuration bounds wall-clock time, measured from the start of the
-	// check (encoding included).
-	MaxDuration time.Duration
-	// MaxAllocBytes approximately bounds heap allocation attributable to the
-	// check. Enforcement samples runtime.MemStats periodically, so overshoot
-	// by a few poll intervals is expected; treat it as a coarse guard rail,
-	// not an accounting limit.
-	MaxAllocBytes uint64
 }
 
 // IsZero reports whether no bound is set.
@@ -53,15 +44,6 @@ func (b Budget) Scale(f float64) Budget {
 	b.MaxConflicts = scaleInt(b.MaxConflicts)
 	b.MaxPropagations = scaleInt(b.MaxPropagations)
 	b.MaxPivots = scaleInt(b.MaxPivots)
-	b.MaxDuration = time.Duration(scaleInt(int64(b.MaxDuration)))
-	if b.MaxAllocBytes > 0 {
-		nv := float64(b.MaxAllocBytes) * f
-		if nv >= math.MaxUint64 {
-			b.MaxAllocBytes = math.MaxUint64
-		} else {
-			b.MaxAllocBytes = uint64(nv)
-		}
-	}
 	return b
 }
 
@@ -70,24 +52,18 @@ const (
 	ResourceConflicts    = "conflicts"
 	ResourcePropagations = "propagations"
 	ResourcePivots       = "pivots"
-	ResourceWallClock    = "wall-clock"
-	ResourceAllocBytes   = "alloc-bytes"
 )
 
 // BudgetError explains an Unknown result caused by resource exhaustion.
 type BudgetError struct {
 	// Resource is one of the Resource* constants.
 	Resource string
-	// Limit is the configured bound (nanoseconds for wall-clock, bytes for
-	// alloc-bytes).
+	// Limit is the configured bound.
 	Limit int64
 }
 
 // Error implements error.
 func (e *BudgetError) Error() string {
-	if e.Resource == ResourceWallClock {
-		return fmt.Sprintf("smt: %s budget exhausted (limit %s)", e.Resource, time.Duration(e.Limit))
-	}
 	return fmt.Sprintf("smt: %s budget exhausted (limit %d)", e.Resource, e.Limit)
 }
 
@@ -159,67 +135,29 @@ func (c *CountdownInterrupter) Interrupt(point string) error {
 // Fired reports whether the interrupter has gone off.
 func (c *CountdownInterrupter) Fired() bool { return c.fired }
 
-// allocPollMask throttles runtime.ReadMemStats sampling for the alloc-bytes
-// budget: one sample every (mask+1) polls.
-const allocPollMask = 1<<13 - 1
-
-// controller evaluates, at each interruption point, every stop condition a
-// check is subject to: fault injection, context cancellation, the wall-clock
-// deadline and the approximate allocation budget. (Conflict, propagation and
-// pivot budgets are enforced by the solver loops that own those counters.)
+// controller evaluates, at each interruption point, the stop conditions a
+// check is subject to: fault injection and context cancellation or
+// deadline. (Conflict, propagation and pivot budgets are enforced by the
+// solver loops that own those counters.)
 type controller struct {
 	ctx         context.Context
 	interrupter Interrupter
-	deadline    time.Time
-	maxDuration time.Duration
-	maxAlloc    uint64
-	baseAlloc   uint64
-	polls       int64
-}
-
-func newController(ctx context.Context, b Budget, intr Interrupter, baseAlloc uint64) *controller {
-	c := &controller{
-		ctx:         ctx,
-		interrupter: intr,
-		maxDuration: b.MaxDuration,
-		maxAlloc:    b.MaxAllocBytes,
-		baseAlloc:   baseAlloc,
-	}
-	if b.MaxDuration > 0 {
-		c.deadline = time.Now().Add(b.MaxDuration)
-	}
-	return c
 }
 
 // needed reports whether the controller has anything to watch; when false
 // the solver loops skip installing poll hooks entirely.
 func (c *controller) needed() bool {
-	return c.interrupter != nil || c.maxAlloc > 0 || !c.deadline.IsZero() ||
-		c.ctx.Done() != nil
+	return c.interrupter != nil || c.ctx.Done() != nil
 }
 
 // poll evaluates the stop conditions at the given interruption point.
 func (c *controller) poll(point string) error {
-	c.polls++
 	if c.interrupter != nil {
 		if err := c.interrupter.Interrupt(point); err != nil {
 			return err
 		}
 	}
-	if err := c.ctx.Err(); err != nil {
-		return err
-	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		return &BudgetError{Resource: ResourceWallClock, Limit: int64(c.maxDuration)}
-	}
-	if c.maxAlloc > 0 && c.polls&allocPollMask == 0 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.TotalAlloc-c.baseAlloc > c.maxAlloc {
-			return &BudgetError{Resource: ResourceAllocBytes, Limit: int64(c.maxAlloc)}
-		}
-	}
-	return nil
+	return c.ctx.Err()
 }
 
 // stopFunc returns a poll closure bound to one interruption point, or nil

@@ -157,25 +157,6 @@ func TestBudgetExpiredContext(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestBudgetWallClock checks the MaxDuration budget fires as a wall-clock
-// BudgetError instead of hanging.
-func TestBudgetWallClock(t *testing.T) {
-	s := NewSolver(DefaultOptions())
-	assertPigeonhole(s, 8)
-	s.SetBudget(Budget{MaxDuration: time.Nanosecond})
-	res, err := s.Check()
-	if err != nil {
-		t.Fatalf("wall-clock exhaustion must not be an error, got %v", err)
-	}
-	if res.Status != Unknown {
-		t.Fatalf("Status = %v, want Unknown", res.Status)
-	}
-	var be *BudgetError
-	if !errors.As(res.Why, &be) || be.Resource != ResourceWallClock {
-		t.Fatalf("Why = %v, want wall-clock BudgetError", res.Why)
-	}
-}
-
 // TestBudgetPivots checks the pivot budget surfaces as a pivots BudgetError
 // with partial stats at the cap.
 func TestBudgetPivots(t *testing.T) {
@@ -201,16 +182,13 @@ func TestBudgetPivots(t *testing.T) {
 // TestBudgetScaleSaturates exercises the escalation arithmetic: finite
 // bounds grow, unlimited bounds stay unlimited, overflow saturates.
 func TestBudgetScaleSaturates(t *testing.T) {
-	b := Budget{MaxConflicts: 100, MaxPivots: 1 << 61, MaxDuration: time.Second}
+	b := Budget{MaxConflicts: 100, MaxPivots: 1 << 61}
 	s := b.Scale(4)
 	if s.MaxConflicts != 400 {
 		t.Fatalf("MaxConflicts = %d, want 400", s.MaxConflicts)
 	}
 	if s.MaxPivots != 1<<63-1 {
 		t.Fatalf("MaxPivots = %d, want saturation at MaxInt64", s.MaxPivots)
-	}
-	if s.MaxDuration != 4*time.Second {
-		t.Fatalf("MaxDuration = %v, want 4s", s.MaxDuration)
 	}
 	if s.MaxPropagations != 0 {
 		t.Fatalf("MaxPropagations = %d, want still unlimited", s.MaxPropagations)

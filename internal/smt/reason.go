@@ -22,10 +22,6 @@ const (
 	ReasonPropagationBudget
 	// ReasonPivotBudget: Budget.MaxPivots was exhausted.
 	ReasonPivotBudget
-	// ReasonWallClockBudget: Budget.MaxDuration elapsed.
-	ReasonWallClockBudget
-	// ReasonAllocBudget: Budget.MaxAllocBytes was exceeded.
-	ReasonAllocBudget
 	// ReasonCancelled: the CheckContext context was cancelled.
 	ReasonCancelled
 	// ReasonDeadline: the CheckContext context's deadline expired.
@@ -51,10 +47,6 @@ func (r UnknownReason) String() string {
 		return "budget-propagations"
 	case ReasonPivotBudget:
 		return "budget-pivots"
-	case ReasonWallClockBudget:
-		return "budget-wall-clock"
-	case ReasonAllocBudget:
-		return "budget-alloc-bytes"
 	case ReasonCancelled:
 		return "cancelled"
 	case ReasonDeadline:
@@ -74,7 +66,7 @@ func (r UnknownReason) String() string {
 func (r UnknownReason) Retryable() bool {
 	switch r {
 	case ReasonConflictBudget, ReasonPropagationBudget, ReasonPivotBudget,
-		ReasonWallClockBudget, ReasonAllocBudget, ReasonInterrupted:
+		ReasonInterrupted:
 		return true
 	default:
 		return false
@@ -84,8 +76,7 @@ func (r UnknownReason) Retryable() bool {
 // Budget reports whether the reason is a resource-budget exhaustion.
 func (r UnknownReason) Budget() bool {
 	switch r {
-	case ReasonConflictBudget, ReasonPropagationBudget, ReasonPivotBudget,
-		ReasonWallClockBudget, ReasonAllocBudget:
+	case ReasonConflictBudget, ReasonPropagationBudget, ReasonPivotBudget:
 		return true
 	default:
 		return false
@@ -108,10 +99,6 @@ func ClassifyUnknown(err error) UnknownReason {
 			return ReasonPropagationBudget
 		case ResourcePivots:
 			return ReasonPivotBudget
-		case ResourceWallClock:
-			return ReasonWallClockBudget
-		case ResourceAllocBytes:
-			return ReasonAllocBudget
 		}
 		return ReasonOther
 	case errors.Is(err, context.Canceled):

@@ -32,16 +32,6 @@ func TestBudgetUnknownReasonClassification(t *testing.T) {
 		}
 		wantReason(t, res, ReasonPivotBudget, true)
 	})
-	t.Run("wall-clock", func(t *testing.T) {
-		s := NewSolver(DefaultOptions())
-		assertPigeonhole(s, 8)
-		s.SetBudget(Budget{MaxDuration: time.Nanosecond})
-		res, err := s.Check()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantReason(t, res, ReasonWallClockBudget, true)
-	})
 	t.Run("cancelled", func(t *testing.T) {
 		s := NewSolver(DefaultOptions())
 		assertPigeonhole(s, 8)
@@ -131,8 +121,6 @@ func TestClassifyUnknownTokens(t *testing.T) {
 		{&BudgetError{Resource: ResourceConflicts}, ReasonConflictBudget, "budget-conflicts"},
 		{&BudgetError{Resource: ResourcePropagations}, ReasonPropagationBudget, "budget-propagations"},
 		{&BudgetError{Resource: ResourcePivots}, ReasonPivotBudget, "budget-pivots"},
-		{&BudgetError{Resource: ResourceWallClock}, ReasonWallClockBudget, "budget-wall-clock"},
-		{&BudgetError{Resource: ResourceAllocBytes}, ReasonAllocBudget, "budget-alloc-bytes"},
 		{context.Canceled, ReasonCancelled, "cancelled"},
 		{context.DeadlineExceeded, ReasonDeadline, "deadline"},
 		{ErrInterrupted, ReasonInterrupted, "interrupted"},
@@ -148,7 +136,7 @@ func TestClassifyUnknownTokens(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.token)
 		}
 	}
-	if ReasonCancelled.Budget() || !ReasonAllocBudget.Budget() {
+	if ReasonCancelled.Budget() || !ReasonPivotBudget.Budget() {
 		t.Errorf("Budget() misclassifies reasons")
 	}
 }

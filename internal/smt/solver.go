@@ -324,7 +324,7 @@ func (s *Solver) CheckContext(ctx context.Context) (*Result, error) {
 	runtime.ReadMemStats(&memBefore)
 
 	budget := s.opts.Budget
-	ctrl := newController(ctx, budget, s.opts.Interrupter, memBefore.TotalAlloc)
+	ctrl := &controller{ctx: ctx, interrupter: s.opts.Interrupter}
 	if s.opts.FreshPerCheck {
 		s.resetEncoding()
 	}
@@ -407,8 +407,7 @@ func (s *Solver) CheckContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		// Every solve-time error is an interruption: map the solver-level
 		// budget sentinels to typed BudgetErrors and surface the rest
-		// (context errors, interrupter errors, wall-clock/alloc budget
-		// errors) as they are.
+		// (context and interrupter errors) as they are.
 		res.Why = classifyInterrupt(err, budget)
 		res.Status = Unknown
 		return finish(res), nil

@@ -46,12 +46,12 @@ type cubeLit struct {
 	secured bool
 }
 
-// supportPool shares counterexample supports across cube workers. Entries are
-// append-only and deduplicated; every entry means "any viable candidate must
-// secure at least one of these buses" and is valid in every cube — and, more
-// broadly, in every synthesis run over the same attack model: supports are
-// facts about the attack scenarios alone, independent of the defender's
-// budget or bus exclusions, which only shape the selection side.
+// supportPool shares counterexample supports across one run's cube workers.
+// Entries are append-only and deduplicated; every entry means "any viable
+// candidate must secure at least one of these buses" and is valid in every
+// cube: supports are facts about the attack scenarios alone, independent of
+// the defender's budget or bus exclusions, which only shape the selection
+// side.
 type supportPool struct {
 	mu      sync.Mutex
 	seen    map[string]bool
@@ -59,22 +59,6 @@ type supportPool struct {
 }
 
 func newSupportPool() *supportPool { return &supportPool{seen: make(map[string]bool)} }
-
-// SupportPool is the exported handle to a counterexample-support pool, for
-// callers (the analytics service) that persist one across synthesis runs via
-// Requirements.SupportPool. All operations are safe for concurrent use, so
-// one pool may serve overlapping runs.
-type SupportPool = supportPool
-
-// NewSupportPool allocates an empty shareable support pool.
-func NewSupportPool() *SupportPool { return newSupportPool() }
-
-// Size reports the number of supports accumulated so far.
-func (p *supportPool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.clauses)
-}
 
 // publish adds a support (already ascending) unless it is already pooled.
 // A nil pool (a run outside a cube fleet) shares nothing.
@@ -235,10 +219,7 @@ func synthesizeCubes(ctx context.Context, req *Requirements, j *job, workers int
 	ctx, cancelRun := j.limits.runContext(ctx)
 	defer cancelRun()
 
-	pool := req.SupportPool
-	if pool == nil {
-		pool = newSupportPool()
-	}
+	pool := newSupportPool()
 	run := &cubeRun{cubes: planCubes(req, workers)}
 	if workers > len(run.cubes) {
 		workers = len(run.cubes)

@@ -55,7 +55,6 @@ type job struct {
 	excluded, required []int
 	maxIterations      int
 	limits             Limits
-	options            *smt.Options
 	proofDir, proofTag string
 }
 
@@ -111,11 +110,7 @@ type selectionModel struct {
 // (Eq. 29) and requirements, the space's extra clauses (Eq. 30) and the
 // cube literals.
 func (j *job) newSelectionModel(cube []cubeLit) *selectionModel {
-	opts := smt.DefaultOptions()
-	if j.options != nil {
-		opts = *j.options
-	}
-	m := &selectionModel{sp: &j.space, solver: smt.NewSolver(opts), vars: make(map[int]smt.BoolVar, len(j.ids))}
+	m := &selectionModel{sp: &j.space, solver: smt.NewSolver(smt.DefaultOptions()), vars: make(map[int]smt.BoolVar, len(j.ids))}
 	for _, id := range j.ids {
 		m.vars[id] = m.solver.BoolVar(fmt.Sprintf("%s_%d", j.kind, id))
 	}

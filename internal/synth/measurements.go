@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"segrid/internal/core"
-	"segrid/internal/smt"
 )
 
 // MeasurementRequirements configures measurement-granular synthesis: the
@@ -34,10 +33,6 @@ type MeasurementRequirements struct {
 	// Limits bounds the run's wall clock and per-candidate solver budgets;
 	// the zero value means unbounded.
 	Limits Limits
-
-	// Options configures the candidate selection solver; nil means
-	// smt.DefaultOptions.
-	Options *smt.Options
 
 	// ProofDir enables UNSAT certificate logging for the verification
 	// solvers, exactly as Requirements.ProofDir does for bus-granular
@@ -117,7 +112,6 @@ func measurementJob(req *MeasurementRequirements) *job {
 		required:      req.RequiredMeasurements,
 		maxIterations: req.MaxIterations,
 		limits:        req.Limits,
-		options:       req.Options,
 		proofDir:      req.ProofDir,
 		proofTag:      req.ProofTag,
 	}

@@ -65,10 +65,6 @@ type Requirements struct {
 	// the zero value means unbounded.
 	Limits Limits
 
-	// Options configures the candidate selection solver; nil means
-	// smt.DefaultOptions.
-	Options *smt.Options
-
 	// ProofDir, when non-empty, turns on UNSAT certificate logging for the
 	// attack-verification solvers: attack model i (the primary attack is 0,
 	// ExtraAttacks follow in order) streams its certificates to
@@ -110,16 +106,6 @@ type Requirements struct {
 	// every cube — but which verified architecture is returned is
 	// first-past-the-post among the workers.
 	CubeWorkers int
-
-	// SupportPool, if non-nil, seeds the cube fleet's shared
-	// counterexample-support pool and accumulates new supports into it —
-	// the cross-request persistence hook: a caller that keys pools by
-	// attack model can make later synthesis runs start from every support
-	// earlier runs paid to discover. Supports depend only on the attack
-	// scenarios (Attack plus ExtraAttacks), never on budget or exclusions,
-	// so reuse across runs with the same scenarios is sound. nil gives the
-	// run a private pool. Ignored by the sequential loop (CubeWorkers 0).
-	SupportPool *SupportPool
 }
 
 // Architecture is a synthesized security architecture.
@@ -212,7 +198,6 @@ func busJob(req *Requirements) *job {
 		required:      req.RequiredBuses,
 		maxIterations: req.MaxIterations,
 		limits:        req.Limits,
-		options:       req.Options,
 		proofDir:      req.ProofDir,
 		proofTag:      req.ProofTag,
 	}
