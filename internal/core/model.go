@@ -390,12 +390,8 @@ func (m *Model) buildGoal() {
 }
 
 // AssertMaxAlteredMeasurements adds, in the solver's current scope, the
-// Eq. 22 cardinality bound Σ cz_i ≤ k. Layering a bound tighter than the
-// scenario's base MaxMeasurements (or onto an unbounded base) is sound: the
-// scoped constraint only shrinks the feasible set and is retracted on Pop.
-// Loosening a base bound this way is NOT possible — base constraints stay
-// asserted — so callers must rebuild the model for a larger budget. k must
-// be positive.
+// Eq. 22 cardinality bound Σ cz_i ≤ k beside the scenario's own, which it
+// can only tighten (see Overlay). k must be positive.
 func (m *Model) AssertMaxAlteredMeasurements(k int) error {
 	if k <= 0 {
 		return fmt.Errorf("core: scoped measurement bound must be positive, got %d", k)
@@ -411,26 +407,20 @@ func (m *Model) AssertMaxAlteredMeasurements(k int) error {
 	return nil
 }
 
-// AssertMaxCompromisedBuses adds, in the solver's current scope, the Eq. 24
-// cardinality bound Σ cb_j ≤ k. The same tightening-only caveat as
-// AssertMaxAlteredMeasurements applies. k must be positive.
-func (m *Model) AssertMaxCompromisedBuses(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("core: scoped bus bound must be positive, got %d", k)
-	}
+// assertMaxCompromisedBuses is AssertMaxAlteredMeasurements for the Eq. 24
+// bound Σ cb_j ≤ k, k positive.
+func (m *Model) assertMaxCompromisedBuses(k int) {
 	sys := m.sc.System()
 	fs := make([]smt.Formula, 0, sys.Buses)
 	for j := 1; j <= sys.Buses; j++ {
 		fs = append(fs, smt.B(m.cb[j]))
 	}
 	m.solver.AssertAtMostK(fs, k)
-	return nil
 }
 
 // AssertMeasurementsSecured adds, in the solver's current scope, the
 // constraint that the given individual measurements are integrity
-// protected: their cz variables are forced false. Used by the
-// measurement-granular synthesis loop.
+// protected: their cz variables are forced false.
 func (m *Model) AssertMeasurementsSecured(ids []int) error {
 	sys := m.sc.System()
 	for _, id := range ids {
@@ -447,7 +437,7 @@ func (m *Model) AssertMeasurementsSecured(ids []int) error {
 // AssertBusesSecured adds, in the solver's current scope, the constraints
 // that every taken measurement homed at the given buses is integrity
 // protected (Eq. 28 applied to the attack model): their cz variables are
-// forced false. Used inside Push/Pop by the synthesis loop.
+// forced false.
 func (m *Model) AssertBusesSecured(buses []int) error {
 	sys := m.sc.System()
 	for _, j := range buses {

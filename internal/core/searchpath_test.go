@@ -127,35 +127,24 @@ func TestVerifySearchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlays := []struct {
-		buses, meas []int
-		maxAltered  int
-	}{
+	overlays := []Overlay{
 		{},
-		{meas: []int{1}},
-		{meas: []int{17, 58}},
-		{buses: []int{12, 16, 17}},
-		{buses: []int{16}},
-		{meas: []int{3, 40, 77}},
-		{maxAltered: 4},
-		{meas: []int{20}},
-		{buses: []int{12, 16, 17}, meas: []int{5}},
-		{meas: []int{101}},
+		{SecuredMeasurements: []int{1}},
+		{SecuredMeasurements: []int{17, 58}},
+		{SecuredBuses: []int{12, 16, 17}},
+		{SecuredBuses: []int{16}},
+		{SecuredMeasurements: []int{3, 40, 77}},
+		{MaxAltered: 4},
+		{SecuredMeasurements: []int{20}},
+		{SecuredBuses: []int{12, 16, 17}, SecuredMeasurements: []int{5}},
+		{SecuredMeasurements: []int{101}},
 	}
 	var verdicts strings.Builder
 	var sum counterPin
 	for i, ov := range overlays {
 		m.Solver().Push()
-		if err := m.AssertBusesSecured(ov.buses); err != nil {
+		if err := m.Assert(ov); err != nil {
 			t.Fatal(err)
-		}
-		if err := m.AssertMeasurementsSecured(ov.meas); err != nil {
-			t.Fatal(err)
-		}
-		if ov.maxAltered > 0 {
-			if err := m.AssertMaxAlteredMeasurements(ov.maxAltered); err != nil {
-				t.Fatal(err)
-			}
 		}
 		res, err := m.Check()
 		if err != nil {

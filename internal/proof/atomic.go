@@ -1,6 +1,7 @@
 package proof
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -73,13 +74,25 @@ func Stage(dir, prefix, suffix string) (*os.File, error) {
 	}
 }
 
-// uniqueSeq backs UniqueName's process-wide counter.
-var uniqueSeq atomic.Uint64
+// uniqueSeq and uniqueToken back UniqueName: a process-wide counter and 48
+// random bits drawn once per process.
+var (
+	uniqueSeq   atomic.Uint64
+	uniqueToken = newUniqueToken()
+)
 
-// UniqueName returns prefix-<pid>-<seq>suffix, a certificate file name that
-// is collision-safe across the goroutines of this process (the atomic
-// sequence) and across processes sharing a directory (the pid). Services use
-// it to give every request or session its own certificate path.
+func newUniqueToken() (b [6]byte) {
+	if _, err := rand.Read(b[:]); err != nil {
+		panic(fmt.Sprintf("proof: draw a certificate name token: %v", err))
+	}
+	return b
+}
+
+// UniqueName returns prefix-<pid>-<token>-<seq>suffix, a certificate file
+// name unique across this process's goroutines (the sequence), across
+// processes sharing a directory (the pid) and across restarts that reuse a
+// pid, as pid 1 in a container does (the token), so a publish never
+// replaces an earlier process's certificate.
 func UniqueName(prefix, suffix string) string {
-	return fmt.Sprintf("%s%d-%d%s", prefix, os.Getpid(), uniqueSeq.Add(1), suffix)
+	return fmt.Sprintf("%s%d-%x-%d%s", prefix, os.Getpid(), uniqueToken, uniqueSeq.Add(1), suffix)
 }

@@ -120,7 +120,7 @@ func TestStagedCertificateMode(t *testing.T) {
 // to a fresh name and leaves the existing file untouched.
 func TestStageSkipsTakenName(t *testing.T) {
 	dir := t.TempDir()
-	taken := filepath.Join(dir, fmt.Sprintf(".stage-%d-%d", os.Getpid(), uniqueSeq.Load()+1))
+	taken := filepath.Join(dir, fmt.Sprintf(".stage-%d-%x-%d", os.Getpid(), uniqueToken, uniqueSeq.Load()+1))
 	if err := os.WriteFile(taken, []byte("orphan"), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +159,32 @@ func TestUniqueNameCollisionFree(t *testing.T) {
 			t.Fatalf("UniqueName repeated %q", n)
 		}
 		seen[n] = true
+	}
+}
+
+// TestUniqueNameAcrossRestart simulates a process restarted under the same
+// pid: the sequence starts over and the token is drawn again. The names the
+// second process issues must differ from the first one's, so its
+// certificates can never be published over the earlier ones.
+func TestUniqueNameAcrossRestart(t *testing.T) {
+	seq, token := uniqueSeq.Load(), uniqueToken
+	t.Cleanup(func() { uniqueSeq.Store(seq); uniqueToken = token })
+	issue := func() []string {
+		uniqueSeq.Store(0)
+		uniqueToken = newUniqueToken()
+		var names []string
+		for i := 0; i < 3; i++ {
+			names = append(names, UniqueName("verify-", ".proof"), UniqueName("req", ""))
+		}
+		return names
+	}
+	first := make(map[string]bool)
+	for _, n := range issue() {
+		first[n] = true
+	}
+	for _, n := range issue() {
+		if first[n] {
+			t.Fatalf("a restarted process reissued %q", n)
+		}
 	}
 }

@@ -125,9 +125,8 @@ type SweepRequest struct {
 
 // SweepItem is one scenario delta against the sweep's base attack spec.
 //
-// Secured sets and tightened resource bounds are asserted as scoped overlays
-// on the group's warm encoder (they only shrink the feasible set, so a
-// Push/Pop scope answers them exactly). Goal replacement and bound
+// Secured sets and tightened resource bounds are a core.Overlay asserted in
+// a solver scope on the group's warm encoder. Goal replacement and bound
 // loosening change the encoded model itself, so such items land in their
 // own (topology, shape) group with a separately built encoder — same
 // verdicts as N sequential /v1/verify calls, just grouped as tightly as

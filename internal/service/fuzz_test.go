@@ -68,17 +68,17 @@ func FuzzSweepRequest(f *testing.F) {
 					t.Fatalf("item %d planned twice", it.index)
 				}
 				placed[it.index] = true
-				for _, j := range it.ov.securedBuses {
+				for _, j := range it.ov.SecuredBuses {
 					if j < 1 || j > sys.Buses {
 						t.Fatalf("item %d: secured bus %d accepted", it.index, j)
 					}
 				}
-				for _, id := range it.ov.securedMeasurements {
+				for _, id := range it.ov.SecuredMeasurements {
 					if id < 1 || id > sys.NumMeasurements() {
 						t.Fatalf("item %d: secured measurement %d accepted", it.index, id)
 					}
 				}
-				if it.ov.maxAltered < 0 || it.ov.maxBuses < 0 {
+				if it.ov.MaxAltered < 0 || it.ov.MaxBuses < 0 {
 					t.Fatalf("item %d: negative overlay bound accepted", it.index)
 				}
 			}

@@ -66,8 +66,7 @@ func soakWorkload(t *testing.T) []soakItem {
 		if err != nil {
 			t.Fatalf("%s: %v", it.name, err)
 		}
-		ov := &overlay{securedBuses: it.req.SecuredBuses, securedMeasurements: it.req.SecuredMeasurements}
-		if err := applyOverlay(m, ov); err != nil {
+		if err := m.Assert(core.Overlay{SecuredBuses: it.req.SecuredBuses, SecuredMeasurements: it.req.SecuredMeasurements}); err != nil {
 			t.Fatalf("%s: %v", it.name, err)
 		}
 		res, err := m.Check()

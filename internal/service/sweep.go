@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,8 +25,8 @@ import (
 //
 // Soundness rules, enforced by planning:
 //
-//   - secured sets and tightened resource bounds are scoped overlays (they
-//     only shrink the feasible set; Push/Pop retracts them exactly);
+//   - secured sets and tightened resource bounds are a core.Overlay,
+//     asserted in a solver scope;
 //   - goal replacement and bound loosening change the encoded model, so the
 //     item is re-specced and lands in its own group;
 //   - a poisoned lease (Unknown, panic, torn scope) is discarded mid-group
@@ -51,7 +52,7 @@ type sweepGroup struct {
 // request index plus the scoped overlay to assert.
 type plannedItem struct {
 	index int
-	ov    overlay
+	ov    core.Overlay
 }
 
 // planSweep validates the request and partitions its items into groups,
@@ -86,10 +87,7 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 	}
 	memo := make(map[delta]*sweepGroup)
 	for i := range req.Items {
-		eff, ov, err := planItem(&req.Attack, &req.Items[i])
-		if err != nil {
-			return nil, sysErr(i, err)
-		}
+		eff, ov := planItem(&req.Attack, &req.Items[i])
 		d := delta{fmt.Sprint(eff.Targets), eff.MaxMeasurements, eff.MaxBuses}
 		g := memo[d]
 		if g == nil {
@@ -112,16 +110,8 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 			}
 			memo[d] = g
 		}
-		sys := g.sc.System()
-		for _, j := range ov.securedBuses {
-			if j < 1 || j > sys.Buses {
-				return nil, sysErr(i, fmt.Errorf("secured bus %d out of range 1..%d", j, sys.Buses))
-			}
-		}
-		for _, id := range ov.securedMeasurements {
-			if id < 1 || id > sys.NumMeasurements() {
-				return nil, sysErr(i, fmt.Errorf("secured measurement %d out of range 1..%d", id, sys.NumMeasurements()))
-			}
+		if err := ov.Validate(g.sc.System()); err != nil {
+			return nil, sysErr(i, err)
 		}
 		g.items = append(g.items, plannedItem{index: i, ov: ov})
 	}
@@ -132,11 +122,12 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 // as feasible-set-shrinking scoped constraints go into the overlay; deltas
 // that change the encoded model (goal replacement, bound lifting/loosening)
 // produce a derived spec. Returns the effective spec (the base itself when
-// nothing re-specs) and the overlay.
-func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.AttackSpec, overlay, error) {
-	ov := overlay{
-		securedBuses:        item.SecuredBuses,
-		securedMeasurements: item.SecuredMeasurements,
+// nothing re-specs) and the overlay, which carries a negative bound for
+// Overlay.Validate to reject.
+func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.AttackSpec, core.Overlay) {
+	ov := core.Overlay{
+		SecuredBuses:        item.SecuredBuses,
+		SecuredMeasurements: item.SecuredMeasurements,
 	}
 	eff := base
 	respec := func() {
@@ -151,29 +142,25 @@ func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.Att
 	}
 	if item.MaxAlteredMeasurements != nil {
 		switch v := *item.MaxAlteredMeasurements; {
-		case v < 0:
-			return nil, ov, fmt.Errorf("maxAlteredMeasurements must be >= 0, got %d", v)
 		case v == 0 || (base.MaxMeasurements > 0 && v > base.MaxMeasurements):
 			// Lifting or loosening the base bound: base constraints cannot
 			// be retracted in a scope, so the item needs its own encoder.
 			respec()
 			eff.MaxMeasurements = v
 		case v != base.MaxMeasurements:
-			ov.maxAltered = v // tightening: sound as a scoped constraint
+			ov.MaxAltered = v
 		}
 	}
 	if item.MaxCompromisedBuses != nil {
 		switch v := *item.MaxCompromisedBuses; {
-		case v < 0:
-			return nil, ov, fmt.Errorf("maxCompromisedBuses must be >= 0, got %d", v)
 		case v == 0 || (base.MaxBuses > 0 && v > base.MaxBuses):
 			respec()
 			eff.MaxBuses = v
 		case v != base.MaxBuses:
-			ov.maxBuses = v
+			ov.MaxBuses = v
 		}
 	}
-	return eff, ov, nil
+	return eff, ov
 }
 
 // sweep plans and executes one sweep request (proof as in planSweep):
@@ -241,7 +228,7 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 			_ = lease.Return()
 		}
 	}()
-	check := func(ov *overlay) *VerifyResponse {
+	check := func(ov core.Overlay) *VerifyResponse {
 		if err := ctx.Err(); err != nil {
 			return ctxExpired(err)
 		}
@@ -267,13 +254,14 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 			return s.verifyFresh(ctx, g, ov, 0, builds)
 		}
 		warm, wm := lease.Warm(), lease.Item
-		if w := s.reuseWitness(wm, ov); w != nil {
+		effective := sync.OnceValues(func() (*core.Scenario, error) { return wm.sc.With(ov) })
+		if w := s.reuseWitness(wm, ov, effective); w != nil {
 			r := s.buildResponse(w, warm, 0)
 			r.Reused = true
 			return r
 		}
 		res, poisoned, err := s.checkWarm(ctx, wm.model, ov)
-		rerr := s.replayFeasible(wm.sc, ov, res)
+		rerr := s.replayFeasible(effective, res)
 		if rerr == nil && res != nil && res.Feasible {
 			wm.remember(res)
 		}
@@ -301,10 +289,10 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 		start := time.Now()
 		var r *VerifyResponse
 		if screen {
-			r = s.screenItem(ctx, g.sc, &it.ov)
+			r = s.screenItem(ctx, g.sc, it.ov)
 		}
 		if r == nil {
-			r = check(&it.ov)
+			r = check(it.ov)
 		}
 		r.ElapsedMs = time.Since(start).Milliseconds()
 		out[it.index] = r

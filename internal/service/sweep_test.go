@@ -252,8 +252,7 @@ func TestSoakSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ov := &overlay{securedBuses: it.SecuredBuses, securedMeasurements: it.SecuredMeasurements}
-		if err := applyOverlay(m, ov); err != nil {
+		if err := m.Assert(core.Overlay{SecuredBuses: it.SecuredBuses, SecuredMeasurements: it.SecuredMeasurements}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := m.Check()

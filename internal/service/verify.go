@@ -42,7 +42,7 @@ func (s *Service) verify(ctx context.Context, req *VerifyRequest) (*VerifyRespon
 // must be quarantined (Unknown result, panic, failed Pop — any ending after
 // which its internal state cannot be trusted). A nil result with a nil
 // error is a recovered panic.
-func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov *overlay) (res *core.Result, poisoned bool, err error) {
+func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov core.Overlay) (res *core.Result, poisoned bool, err error) {
 	sv := m.Solver()
 	sv.SetBudget(s.cfg.Budget)
 	if s.cfg.Faults != nil {
@@ -56,7 +56,7 @@ func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov *overlay) (re
 		}
 	}()
 	sv.Push()
-	if err := applyOverlay(m, ov); err != nil {
+	if err := m.Assert(ov); err != nil {
 		// Planning validated the overlay, so this is unexpected; the
 		// encoder is fine once the scope unwinds.
 		return nil, sv.Pop() != nil, err
@@ -87,7 +87,7 @@ func (s *Service) checkModel(ctx context.Context, m *core.Model) (*core.Result, 
 // carrying this check's solver options; encoding only reads the scenario.
 // Each call is a cold build, counted into builds. Failures that are not a
 // scenario verdict answer inconclusive.
-func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, retries int, builds *atomic.Int64) *VerifyResponse {
+func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov core.Overlay, retries int, builds *atomic.Int64) *VerifyResponse {
 	builds.Add(1)
 	sc := *g.sc
 	opts := smt.DefaultOptions()
@@ -131,14 +131,14 @@ func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov *overlay, r
 			}
 			return itemFailure(err.Error())
 		}
-		if err := applyOverlay(m, ov); err != nil {
+		if err := m.Assert(ov); err != nil {
 			return itemFailure(err.Error())
 		}
 		res, err := s.checkModel(ctx, m)
 		if err != nil {
 			return itemFailure(err.Error())
 		}
-		if err := s.replayFeasible(&sc, ov, res); err != nil {
+		if err := s.replayFeasible(func() (*core.Scenario, error) { return sc.With(ov) }, res); err != nil {
 			return replayRejected(err)
 		}
 		return s.buildResponse(res, false, retries)
@@ -192,9 +192,9 @@ func (s *Service) screenEnabled(override *bool) bool {
 // malformed overlay, screening error) returns nil: the SMT path runs as if
 // the screen did not exist and reports its own errors, so screening never
 // changes what a request can observe beyond latency.
-func (s *Service) screenItem(ctx context.Context, base *core.Scenario, ov *overlay) *VerifyResponse {
+func (s *Service) screenItem(ctx context.Context, base *core.Scenario, ov core.Overlay) *VerifyResponse {
 	start := time.Now()
-	sc, err := overlaid(base, ov)
+	sc, err := base.With(ov)
 	if err != nil {
 		return nil
 	}
@@ -212,75 +212,6 @@ func (s *Service) screenItem(ctx context.Context, base *core.Scenario, ov *overl
 	r := s.buildResponse(core.ResultFromScreen(res), false, 0)
 	r.Screened = true
 	return r
-}
-
-// overlaid folds ov into a shallow copy of base with its own measurement
-// configuration, leaving base untouched — the scenario-level equivalent of
-// applyOverlay, which asserts the same delta on an encoded model. Securing
-// a bus means securing every measurement homed at it, exactly the semantics
-// of the model-level bus-compromise indicator being forced false.
-func overlaid(base *core.Scenario, ov *overlay) (*core.Scenario, error) {
-	sc := *base
-	sc.Meas = base.Meas.Clone()
-	for _, j := range ov.securedBuses {
-		if err := sc.Meas.SecureBus(j); err != nil {
-			return nil, err
-		}
-	}
-	if len(ov.securedMeasurements) > 0 {
-		if err := sc.Meas.Secure(ov.securedMeasurements...); err != nil {
-			return nil, err
-		}
-	}
-	// Overlay bounds are only ever tightenings (planItem re-specs anything
-	// else), so replacing the scenario bound is exact.
-	if ov.maxAltered > 0 {
-		sc.MaxAlteredMeasurements = ov.maxAltered
-	}
-	if ov.maxBuses > 0 {
-		sc.MaxCompromisedBuses = ov.maxBuses
-	}
-	return &sc, nil
-}
-
-// overlay is a per-check scoped delta asserted on top of an encoded model:
-// extra integrity protections and/or tightened resource bounds. Everything
-// an overlay can express only shrinks the feasible set, which is what makes
-// answering it inside a Push/Pop scope on a shared warm encoder sound.
-type overlay struct {
-	securedBuses        []int
-	securedMeasurements []int
-	// maxAltered / maxBuses, when positive, layer scoped Eq. 22 / Eq. 24
-	// cardinality bounds tighter than (or absent from) the encoded base
-	// spec. Loosening a base bound is not expressible here — it requires a
-	// different encoder.
-	maxAltered int
-	maxBuses   int
-}
-
-// applyOverlay asserts the overlay in the solver's current scope.
-func applyOverlay(m *core.Model, ov *overlay) error {
-	if len(ov.securedBuses) > 0 {
-		if err := m.AssertBusesSecured(ov.securedBuses); err != nil {
-			return err
-		}
-	}
-	if len(ov.securedMeasurements) > 0 {
-		if err := m.AssertMeasurementsSecured(ov.securedMeasurements); err != nil {
-			return err
-		}
-	}
-	if ov.maxAltered > 0 {
-		if err := m.AssertMaxAlteredMeasurements(ov.maxAltered); err != nil {
-			return err
-		}
-	}
-	if ov.maxBuses > 0 {
-		if err := m.AssertMaxCompromisedBuses(ov.maxBuses); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // buildResponse maps a core.Result onto the wire. A nil result (panic on

@@ -33,13 +33,13 @@ type space struct {
 	// pairs are the space's extra clauses: ID pairs never selected
 	// together (Eq. 30 pruning for buses; none for measurements).
 	pairs [][2]int
-	// secure asserts a candidate on an attack model; support reads a
+	// overlay secures a set of IDs on an attack scenario; support reads a
 	// witness attack's footprint in the same IDs back for blocking.
-	secure  func(*core.Model, []int) error
+	overlay func([]int) core.Overlay
 	support func(*core.Result) []int
 	// screen, when non-nil, is the LP-relaxation pre-filter consulted
 	// before each SMT check (see screenCandidate).
-	screen func(context.Context, *core.Scenario, []int) (screen.Verdict, []int)
+	screen func(context.Context, *core.Scenario, core.Overlay) (screen.Verdict, []int)
 	// resetPhases clears the selection solver's saved phases before each
 	// selection; fullBudgetFirst searches candidates using the whole budget
 	// before any smaller one.
@@ -375,7 +375,7 @@ func (w *worker) search(ctx context.Context, cube []cubeLit) ([]int, error) {
 func (w *worker) verify(ctx context.Context, sel *selectionModel, candidate []int) (resists bool, inconclusive error, err error) {
 	for ai, attack := range w.attacks {
 		if w.j.screen != nil {
-			verdict, support := w.j.screen(ctx, w.scens[ai], candidate)
+			verdict, support := w.j.screen(ctx, w.scens[ai], w.j.overlay(candidate))
 			if verdict == screen.Infeasible {
 				// The relaxation proves this scenario resists the
 				// candidate; its SMT model is never consulted.
@@ -408,7 +408,7 @@ func (w *worker) verify(ctx context.Context, sel *selectionModel, candidate []in
 // harvested Unsat only means the candidate PLUS the harvested supports
 // resist; it never upgrades the candidate itself.
 func (w *worker) refute(ctx context.Context, sel *selectionModel, attack *core.Model, candidate []int) (defeated bool, inconclusive error, err error) {
-	if err := w.j.secure(attack, candidate); err != nil {
+	if err := attack.Assert(w.j.overlay(candidate)); err != nil {
 		return false, nil, err
 	}
 	res, err := verifyCandidate(ctx, attack, w.j.limits.initialBudget())
@@ -425,7 +425,7 @@ func (w *worker) refute(ctx context.Context, sel *selectionModel, attack *core.M
 	support := w.j.support(res)
 	w.block(sel, candidate, support)
 	for h := 1; h < w.harvest && len(support) > 0 && ctx.Err() == nil; h++ {
-		if err := w.j.secure(attack, support); err != nil {
+		if err := attack.Assert(w.j.overlay(support)); err != nil {
 			return true, nil, err
 		}
 		res, err = verifyCandidate(ctx, attack, w.j.limits.initialBudget())

@@ -103,7 +103,7 @@ func measurementJob(req *MeasurementRequirements) *job {
 	j := &job{
 		space: space{
 			kind:    "measurement",
-			secure:  (*core.Model).AssertMeasurementsSecured,
+			overlay: func(ids []int) core.Overlay { return core.Overlay{SecuredMeasurements: ids} },
 			support: func(r *core.Result) []int { return r.AlteredMeasurements },
 		},
 		scenarios:     append([]*core.Scenario{req.Attack}, req.ExtraAttacks...),

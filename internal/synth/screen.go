@@ -16,25 +16,19 @@ func screeningOn(req *Requirements) bool {
 	return !req.NoScreen && req.ProofDir == ""
 }
 
-// screenCandidate runs the LP screening tier on one (attack scenario,
-// candidate architecture) pair before any SMT work: the candidate's buses
-// are secured on a cloned measurement configuration and the relaxation
-// consulted. Infeasible means the scenario provably resists the candidate
-// (skip its SMT model entirely); FeasibleIntegral means the candidate is
-// provably defeated, with support carrying the witness attack's compromised
-// buses for hitting-set blocking; Inconclusive decides nothing and the
-// caller falls through to the solver. Screening failures of any kind
-// degrade to Inconclusive — the pre-filter can only save work, never
-// change a verdict.
-func screenCandidate(ctx context.Context, sc *core.Scenario, candidate []int) (screen.Verdict, []int) {
-	scc := *sc
-	scc.Meas = sc.Meas.Clone()
-	for _, j := range candidate {
-		if err := scc.Meas.SecureBus(j); err != nil {
-			return screen.Inconclusive, nil
-		}
+// screenCandidate runs the LP screening tier on sc.With(ov), ov securing one
+// candidate, before any SMT work. Infeasible means the scenario provably
+// resists the candidate (skip its SMT model); FeasibleIntegral means the
+// candidate is provably defeated, support carrying the witness attack's
+// compromised buses for hitting-set blocking. Anything else, failures
+// included, is Inconclusive and falls through to the solver: the
+// pre-filter can only save work, never change a verdict.
+func screenCandidate(ctx context.Context, sc *core.Scenario, ov core.Overlay) (screen.Verdict, []int) {
+	scc, err := sc.With(ov)
+	if err != nil {
+		return screen.Inconclusive, nil
 	}
-	res, err := core.ScreenScenario(ctx, &scc, screen.Options{MaxPivots: screen.DefaultMaxPivots})
+	res, err := core.ScreenScenario(ctx, scc, screen.Options{MaxPivots: screen.DefaultMaxPivots})
 	if err != nil {
 		return screen.Inconclusive, nil
 	}

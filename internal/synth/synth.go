@@ -187,7 +187,7 @@ func busJob(req *Requirements) *job {
 	j := &job{
 		space: space{
 			kind:            "bus",
-			secure:          (*core.Model).AssertBusesSecured,
+			overlay:         func(ids []int) core.Overlay { return core.Overlay{SecuredBuses: ids} },
 			support:         func(r *core.Result) []int { return r.CompromisedBuses },
 			resetPhases:     true,
 			fullBudgetFirst: true,
