@@ -212,12 +212,12 @@ func runScreen(ctx context.Context, sc *core.Scenario) (code int, done bool, err
 	fmt.Printf("screen: LP relaxation decided without the SMT solver — %d vars, %d rows, %d pivots, %d probes, %s\n",
 		st.Vars, st.Rows, st.Pivots, st.Probes, st.Elapsed.Round(10*time.Microsecond))
 	if res.Verdict == screen.Infeasible {
-		fmt.Printf("screen: %d rational Farkas certificate(s) carried on the verdict\n", len(res.Certificates))
+		fmt.Printf("screen: %d rational Farkas certificate(s) carried on the verdict, all verified\n", len(res.Certificates))
 		fmt.Println("result: unsat — no attack vector satisfies the constraints")
 		return exitUnsat, true, nil
 	}
 	fmt.Println("result: sat — attack vector found")
-	printAttack(sys, core.ResultFromScreen(res))
+	printAttack(sys, res.Result)
 	return exitSat, true, nil
 }
 

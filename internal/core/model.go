@@ -11,16 +11,20 @@ import (
 )
 
 // Model is the UFDI attack verification model built over the SMT solver.
-// It exposes the solver's Push/Pop so the countermeasure synthesis loop
-// (Section IV, Algorithm 1) can layer candidate security architectures on
-// top of a fixed attack model. The solver is incremental: the attack
-// constraint system (Eqs. 5–26) is lowered into one persistent SAT+simplex
-// instance at the first Check, and later Checks — including the per-candidate
+// Its Push/Pop scopes let the countermeasure synthesis loop (Section IV,
+// Algorithm 1) and the service layer overlays (see Overlay) on top of a
+// fixed attack model. The solver is incremental: the attack constraint
+// system (Eqs. 5–26) is lowered into one persistent SAT+simplex instance at
+// the first Check, and later Checks — including the per-candidate
 // push/assert/pop cycles of the synthesis loop — reuse that instance and the
 // clauses it has learnt, re-encoding nothing.
 type Model struct {
 	sc     *Scenario
 	solver *smt.Solver
+	// overlays lists what Assert added in the live scopes (see
+	// CheckContext); marks holds len(overlays) at each Push.
+	overlays []Overlay
+	marks    []int
 
 	// 1-based variable tables; zero values mean "not created".
 	dtheta []smt.RealVar // per bus; reference bus has none
@@ -104,8 +108,13 @@ func NewModelContext(ctx context.Context, sc *Scenario) (*Model, error) {
 	return m, nil
 }
 
-// Solver exposes the underlying SMT solver (for Push/Pop layering).
+// Solver exposes the underlying SMT solver. Assert refuses to run inside a
+// scope opened on it directly, and primitives asserted there are not replayed.
 func (m *Model) Solver() *smt.Solver { return m.solver }
+
+// Scenario returns the scenario m encodes, not a copy: every feasible check
+// replays against it, so callers treat it as read-only.
+func (m *Model) Scenario() *Scenario { return m.sc }
 
 // thetaExpr returns a fresh expression coeff·Δθ_bus, empty for the
 // reference bus (whose angle change is identically 0).

@@ -424,7 +424,7 @@ func TestAssertBusesSecuredPushPop(t *testing.T) {
 	if !res.Feasible {
 		t.Fatalf("base attack infeasible")
 	}
-	m.Solver().Push()
+	m.Push()
 	if err := m.AssertBusesSecured([]int{6}); err != nil {
 		t.Fatalf("AssertBusesSecured: %v", err)
 	}
@@ -435,7 +435,7 @@ func TestAssertBusesSecuredPushPop(t *testing.T) {
 	if res.Feasible {
 		t.Fatalf("attack feasible with bus 6 secured (measurement 46 covered)")
 	}
-	if err := m.Solver().Pop(); err != nil {
+	if err := m.Pop(); err != nil {
 		t.Fatalf("Pop: %v", err)
 	}
 	res, err = m.Check()

@@ -61,9 +61,31 @@ func (sc *Scenario) With(ov Overlay) (*Scenario, error) {
 	return &out, nil
 }
 
-// Assert asserts ov in the solver's current scope: secured buses, secured
-// measurements, T_CZ, then T_CB. The warm search depends on that order.
+// Push opens a solver scope for overlays; Pop retracts it and them.
+func (m *Model) Push() {
+	m.solver.Push()
+	m.marks = append(m.marks, len(m.overlays))
+}
+
+// Pop closes the innermost scope Push opened, and errors on any other.
+func (m *Model) Pop() error {
+	top := len(m.marks) - 1
+	if n := m.solver.NumScopes(); top < 0 || n != top+2 {
+		return fmt.Errorf("core: Pop at solver scope depth %d, which Model.Push did not open", n)
+	}
+	m.overlays, m.marks = m.overlays[:m.marks[top]], m.marks[:top]
+	return m.solver.Pop()
+}
+
+// Assert asserts ov in the innermost scope Push opened (the base scope when
+// none is open) and records it for the replay of feasible verdicts: secured
+// buses, secured measurements, T_CZ, then T_CB. The warm search depends on
+// that order. It errors when the solver holds a scope Push did not open, so
+// that no overlay hides from the replay. ov's slices are kept until the Pop.
 func (m *Model) Assert(ov Overlay) error {
+	if n := m.solver.NumScopes(); n != len(m.marks)+1 {
+		return fmt.Errorf("core: Assert at solver scope depth %d, but Model.Push opened %d scopes", n, len(m.marks))
+	}
 	if err := m.AssertBusesSecured(ov.SecuredBuses); err != nil {
 		return err
 	}
@@ -78,6 +100,7 @@ func (m *Model) Assert(ov Overlay) error {
 	if ov.MaxBuses > 0 {
 		m.assertMaxCompromisedBuses(ov.MaxBuses)
 	}
+	m.overlays = append(m.overlays, ov)
 	return nil
 }
 

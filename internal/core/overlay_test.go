@@ -53,7 +53,7 @@ func TestOverlayMatchesWith(t *testing.T) {
 				if err != nil {
 					t.Fatalf("overlay %d %+v: With: %v", i, ov, err)
 				}
-				m.Solver().Push()
+				m.Push()
 				if err := m.Assert(ov); err != nil {
 					t.Fatalf("overlay %d %+v: Assert: %v", i, ov, err)
 				}
@@ -61,7 +61,7 @@ func TestOverlayMatchesWith(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Solver().Pop(); err != nil {
+				if err := m.Pop(); err != nil {
 					t.Fatal(err)
 				}
 				cold, err := Verify(eff)

@@ -598,25 +598,25 @@ func trivialPairCertificates(j int) []*screen.Certificate {
 	return []*screen.Certificate{mk(">", true), mk("<", false)}
 }
 
-func inconclusive(why string) *screen.Result {
-	return &screen.Result{Verdict: screen.Inconclusive, Why: why}
+func inconclusive(why string) *ScreenResult {
+	return &ScreenResult{Verdict: screen.Inconclusive, Why: why}
 }
 
 // run executes the screening protocol: sign probes per goal conjunct
 // (fast-reject with certificates), then a combined solution, sparsified
 // and replayed exactly (fast-accept with witness). Anything undecidable
 // degrades to Inconclusive.
-func (lp *lpRelaxation) run() *screen.Result {
+func (lp *lpRelaxation) run() *ScreenResult {
 	if lp.buildErr != "" {
 		return inconclusive(lp.buildErr)
 	}
 	sc := lp.sc
 
 	if len(sc.TargetStates) == 0 && len(sc.DistinctPairs) == 0 && !sc.AnyState {
-		return &screen.Result{
+		return &ScreenResult{
 			Verdict: screen.FeasibleIntegral,
 			Why:     "empty goal: the all-zero attack satisfies the model",
-			Attack:  &screen.Attack{StateChanges: map[int]*big.Rat{}, TopoFlowDeltas: map[int]*big.Rat{}},
+			Result:  &Result{Feasible: true, StateChanges: map[int]*big.Rat{}, TopoFlowDeltas: map[int]*big.Rat{}},
 		}
 	}
 
@@ -633,7 +633,7 @@ func (lp *lpRelaxation) run() *screen.Result {
 			return inconclusive(why)
 		}
 		if sign == 0 {
-			return &screen.Result{
+			return &ScreenResult{
 				Verdict:      screen.Infeasible,
 				Why:          fmt.Sprintf("target state %d is forced unchanged by the relaxation", t),
 				Certificates: certs,
@@ -644,7 +644,7 @@ func (lp *lpRelaxation) run() *screen.Result {
 
 	for _, pr := range sc.DistinctPairs {
 		if pr[0] == pr[1] {
-			return &screen.Result{
+			return &ScreenResult{
 				Verdict:      screen.Infeasible,
 				Why:          fmt.Sprintf("distinct-pair goal compares state %d with itself", pr[0]),
 				Certificates: trivialPairCertificates(pr[0]),
@@ -663,7 +663,7 @@ func (lp *lpRelaxation) run() *screen.Result {
 			return inconclusive(why)
 		}
 		if sign == 0 {
-			return &screen.Result{
+			return &ScreenResult{
 				Verdict:      screen.Infeasible,
 				Why:          fmt.Sprintf("states %d and %d are forced equal by the relaxation", pr[0], pr[1]),
 				Certificates: certs,
@@ -696,7 +696,7 @@ func (lp *lpRelaxation) run() *screen.Result {
 			break
 		}
 		if anyBus == 0 {
-			return &screen.Result{
+			return &ScreenResult{
 				Verdict:      screen.Infeasible,
 				Why:          "anystate goal: every state delta is forced to zero by the relaxation",
 				Certificates: certs,
@@ -753,9 +753,9 @@ func (lp *lpRelaxation) run() *screen.Result {
 	if attack == nil {
 		return inconclusive(why)
 	}
-	return &screen.Result{
+	return &ScreenResult{
 		Verdict: screen.FeasibleIntegral,
 		Why:     "relaxed solution replayed exactly as a concrete attack",
-		Attack:  attack,
+		Result:  attack,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"segrid/internal/lpbuild"
-	"segrid/internal/screen"
 )
 
 // replay lifts a relaxed solution to a concrete attack — an integral status
@@ -19,7 +18,7 @@ import (
 //
 // anyBus is the witness bus chosen for an AnyState goal (0 when the goal
 // has none).
-func (lp *lpRelaxation) replay(model []*big.Rat, anyBus int) (*screen.Attack, string) {
+func (lp *lpRelaxation) replay(model []*big.Rat, anyBus int) (*Result, string) {
 	sc, sys := lp.sc, lp.sys
 
 	th := make([]*big.Rat, sys.Buses+1)
@@ -67,6 +66,7 @@ func (lp *lpRelaxation) replay(model []*big.Rat, anyBus int) (*screen.Attack, st
 		return nil, why
 	}
 	r := &Result{
+		Feasible:       true,
 		ExcludedLines:  excluded,
 		IncludedLines:  included,
 		StateChanges:   make(map[int]*big.Rat),
@@ -84,14 +84,8 @@ func (lp *lpRelaxation) replay(model []*big.Rat, anyBus int) (*screen.Attack, st
 	if err != nil {
 		return nil, "replay: " + err.Error()
 	}
-	return &screen.Attack{
-		AlteredMeasurements: altered,
-		CompromisedBuses:    compromised,
-		ExcludedLines:       excluded,
-		IncludedLines:       included,
-		StateChanges:        r.StateChanges,
-		TopoFlowDeltas:      r.TopoFlowDeltas,
-	}, ""
+	r.AlteredMeasurements, r.CompromisedBuses = altered, compromised
+	return r, ""
 }
 
 // minChangeScale returns the factor that makes a relaxed state vector

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -71,15 +72,39 @@ func (m *Model) Check() (*Result, error) {
 	return m.CheckContext(context.Background())
 }
 
+// ErrRefused is wrapped by the Why of a feasible verdict the exact
+// evaluator refused (see CheckContext).
+var ErrRefused = errors.New("core: the exact evaluator refused the solver's attack")
+
 // CheckContext solves the model under ctx. Cancellation and budget
 // exhaustion (see smt.Budget) are not errors: they yield a Result with
-// Inconclusive set, partial Stats, and Why carrying the cause.
+// Inconclusive set, partial Stats, and Why carrying the cause. A feasible
+// verdict is replayed by ExactMeasurementDeltas on the scenario with every
+// overlay recorded in a live scope folded in; if the evaluator refuses it,
+// the check is Inconclusive with Stats.Unknown smt.ReasonOther.
 func (m *Model) CheckContext(ctx context.Context) (*Result, error) {
 	res, err := m.solver.CheckContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: attack model check: %w", err)
 	}
-	return m.extract(res), nil
+	out := m.extract(res)
+	if !out.Feasible {
+		return out, nil
+	}
+	sc := m.sc
+	for _, ov := range m.overlays {
+		if sc, err = sc.With(ov); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		_, err = ExactMeasurementDeltas(sc, out)
+	}
+	if err != nil {
+		out = &Result{Inconclusive: true, Why: fmt.Errorf("%w: %w", ErrRefused, err), Stats: out.Stats}
+		out.Stats.Unknown = smt.ReasonOther
+	}
+	return out, nil
 }
 
 // extract converts the solver's verdict into an attack verification Result,

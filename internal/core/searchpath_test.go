@@ -142,7 +142,7 @@ func TestVerifySearchPath(t *testing.T) {
 	var verdicts strings.Builder
 	var sum counterPin
 	for i, ov := range overlays {
-		m.Solver().Push()
+		m.Push()
 		if err := m.Assert(ov); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestVerifySearchPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("overlay %d: %v", i, err)
 		}
-		if err := m.Solver().Pop(); err != nil {
+		if err := m.Pop(); err != nil {
 			t.Fatal(err)
 		}
 		switch {

@@ -174,11 +174,11 @@ func runDifferential(t *testing.T, name string, rounds int, seed int64) {
 			}
 		}
 		if res.Verdict == screen.FeasibleIntegral {
-			if res.Attack == nil {
+			if res.Result == nil {
 				t.Fatalf("%s round %d: accept without witness (%s)", name, n, scenarioLabel(sc))
 			}
 			witnesses++
-			tampered += checkWitness(t, sc, core.ResultFromScreen(res), fmt.Sprintf("%s round %d: screen witness (%s)", name, n, scenarioLabel(sc)))
+			tampered += checkWitness(t, sc, res.Result, fmt.Sprintf("%s round %d: screen witness (%s)", name, n, scenarioLabel(sc)))
 		}
 	}
 	if definitive == 0 {

@@ -1,25 +1,23 @@
 // Package screen is the vocabulary of the LP-relaxation screening tier in
 // front of the full UFDI SMT model: the three-valued Verdict, the run
-// Options and Stats, the Attack witness, and the rational Farkas
-// Certificate with its checker. The relaxation itself — a continuous
-// relaxation of the attack-feasibility constraint system solved on the
-// exact rational simplex, after Chu, Zhang, Kosut & Sankar
-// (arXiv:1605.06557) — is the second lowering of a core.Scenario and lives
-// in internal/core (core.ScreenScenario) next to the SMT encoding. Keeping
-// Certificate.Verify here keeps the checker independent of the code that
-// produces certificates.
+// Options and Stats, and the rational Farkas Certificate with its checker.
+// The relaxation itself — a continuous relaxation of the
+// attack-feasibility constraint system solved on the exact rational
+// simplex, after Chu, Zhang, Kosut & Sankar (arXiv:1605.06557) — is the
+// second lowering of a core.Scenario and lives in internal/core
+// (core.ScreenScenario, which answers a core.ScreenResult) next to the SMT
+// encoding. Keeping Certificate.Verify here keeps the checker independent
+// of the code that produces certificates.
 //
-// A definitive verdict is certified: Infeasible carries Farkas
-// certificates checkable without the solver, FeasibleIntegral a concrete
-// attack the model's exact evaluator has accepted. Anything else —
-// fractional optimum, replay failure, budget or cancellation — is
-// Inconclusive: the screen never returns a silent wrong answer.
+// A definitive verdict is certified: core.ScreenScenario returns
+// Infeasible only after Certificate.Verify has accepted every Farkas
+// certificate it carries, and FeasibleIntegral only with a concrete attack
+// the model's exact evaluator has accepted. Anything else — fractional
+// optimum, replay failure, a refused certificate, budget or cancellation
+// — is Inconclusive: the screen never returns a silent wrong answer.
 package screen
 
-import (
-	"math/big"
-	"time"
-)
+import "time"
 
 // Verdict is the screen's three-valued answer.
 type Verdict int
@@ -32,8 +30,7 @@ const (
 	// model is UNSAT. Certificates carry the Farkas proof.
 	Infeasible
 	// FeasibleIntegral is definitive: the relaxed optimum replayed exactly
-	// as a concrete attack vector satisfying the full model. Attack carries
-	// the witness.
+	// as a concrete attack vector satisfying the full model.
 	FeasibleIntegral
 )
 
@@ -77,30 +74,4 @@ type Stats struct {
 	// Probes is the number of strict sign probes checked.
 	Probes  int
 	Elapsed time.Duration
-}
-
-// Attack is the concrete witness behind a FeasibleIntegral verdict, in the
-// same vocabulary as core.Result.
-type Attack struct {
-	AlteredMeasurements []int
-	CompromisedBuses    []int
-	ExcludedLines       []int
-	IncludedLines       []int
-	// StateChanges maps bus → exact Δθ (nonzero entries only).
-	StateChanges map[int]*big.Rat
-	// TopoFlowDeltas maps attacked line → exact ΔPT.
-	TopoFlowDeltas map[int]*big.Rat
-}
-
-// Result is a screening outcome.
-type Result struct {
-	Verdict Verdict
-	// Why explains an Inconclusive verdict (and annotates definitive ones).
-	Why string
-	// Certificates carries one Farkas certificate per refuted sign probe
-	// when Verdict is Infeasible.
-	Certificates []*Certificate
-	// Attack is the replayed witness when Verdict is FeasibleIntegral.
-	Attack *Attack
-	Stats  Stats
 }

@@ -30,8 +30,8 @@ func TestEmptyGoalAccepts(t *testing.T) {
 	if res.Verdict != screen.FeasibleIntegral {
 		t.Fatalf("empty goal: verdict %v, want feasible", res.Verdict)
 	}
-	if res.Attack == nil || len(res.Attack.AlteredMeasurements) != 0 {
-		t.Fatalf("empty goal should carry the zero attack, got %+v", res.Attack)
+	if res.Result == nil || len(res.Result.AlteredMeasurements) != 0 {
+		t.Fatalf("empty goal should carry the zero attack, got %+v", res.Result)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestUnrestrictedTargetAccepts(t *testing.T) {
 	if res.Verdict != screen.FeasibleIntegral {
 		t.Fatalf("unrestricted target: verdict %v (%s), want feasible", res.Verdict, res.Why)
 	}
-	atk := res.Attack
+	atk := res.Result
 	if atk == nil || len(atk.AlteredMeasurements) == 0 {
 		t.Fatalf("witness should alter measurements, got %+v", atk)
 	}

@@ -65,9 +65,9 @@ type VerifyResponse struct {
 	// Screened reports that the LP-relaxation screening tier answered this
 	// request definitively — no encoder was built or leased and the SMT
 	// solver never ran. Screened verdicts are certifying: an infeasible
-	// answer is backed by a rational Farkas certificate, a feasible one by
-	// an exact replay of the relaxation vertex against the full model's
-	// semantics.
+	// answer is backed by rational Farkas certificates the screen checked,
+	// a feasible one by an exact replay of the relaxation vertex against
+	// the full model's semantics.
 	Screened bool `json:"screened,omitempty"`
 
 	// Reused reports that a recent attack found on the answering warm

@@ -328,9 +328,7 @@ func TestVerifyFeasibleReplayRejectDiscardsEncoder(t *testing.T) {
 		t.Fatalf("cold verify = %+v, %v", r, err)
 	}
 	leaseWarm(t, svc, obj2Spec(), func(wm *warmModel) {
-		sc := *wm.sc
-		sc.MaxAlteredMeasurements = 1
-		wm.sc = &sc
+		wm.model.Scenario().MaxAlteredMeasurements = 1
 		wm.witnesses = nil
 	})
 	r, err := svc.Verify(ctx, &VerifyRequest{Attack: obj2Spec()})

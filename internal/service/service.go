@@ -155,12 +155,11 @@ func (s *Service) cubeWorkers(asked int) int {
 	return n
 }
 
-// warmModel is the pooled item: one encoded attack model, the base scenario
-// it encodes and its ring of recent evaluator-accepted attacks (see
-// reuse.go), which lives and dies with the encoder.
+// warmModel is the pooled item: one encoded attack model and its ring of
+// recent evaluator-accepted attacks (see reuse.go), which lives and dies
+// with the encoder.
 type warmModel struct {
 	model     *core.Model
-	sc        *core.Scenario
 	witnesses []*core.Result
 }
 
@@ -214,7 +213,7 @@ func (s *Service) buildModel(ctx context.Context, key pool.Key) (*warmModel, err
 	if err != nil {
 		return nil, err
 	}
-	return &warmModel{model: m, sc: sc}, nil
+	return &warmModel{model: m}, nil
 }
 
 // resetModel validates a returning encoder: the overlay scope must have

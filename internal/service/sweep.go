@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -208,8 +207,8 @@ func (s *Service) sweep(ctx context.Context, req *SweepRequest, proof bool) (*Sw
 //  3. only then an inconclusive answer carrying the machine-readable
 //     reason.
 //
-// Every feasible verdict of rungs 1 and 2 is replayed through the exact
-// evaluator before it is published; a refused one answers inconclusive and
+// core.Model.CheckContext replays every feasible verdict of rungs 1 and 2
+// before it is published; a refused one is inconclusive, not retried, and
 // quarantines a warm encoder.
 //
 // A non-retryable failure (the request's own deadline or cancellation)
@@ -254,18 +253,16 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 			return s.verifyFresh(ctx, g, ov, 0, builds)
 		}
 		warm, wm := lease.Warm(), lease.Item
-		effective := sync.OnceValues(func() (*core.Scenario, error) { return wm.sc.With(ov) })
-		if w := s.reuseWitness(wm, ov, effective); w != nil {
+		if w := s.reuseWitness(wm, ov); w != nil {
 			r := s.buildResponse(w, warm, 0)
 			r.Reused = true
 			return r
 		}
 		res, poisoned, err := s.checkWarm(ctx, wm.model, ov)
-		rerr := s.replayFeasible(effective, res)
-		if rerr == nil && res != nil && res.Feasible {
+		if res != nil && res.Feasible {
 			wm.remember(res)
 		}
-		if poisoned || rerr != nil {
+		if poisoned {
 			s.m.poisoned.Add(1)
 			_ = lease.Discard()
 			lease = nil
@@ -273,8 +270,6 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 		switch {
 		case err != nil:
 			return itemFailure(err.Error())
-		case rerr != nil:
-			return replayRejected(rerr)
 		case res != nil && !res.Inconclusive:
 			return s.buildResponse(res, warm, 0)
 		case (res == nil || res.Stats.Unknown.Retryable()) && ctx.Err() == nil:

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,29 +56,33 @@ func (s *Service) checkWarm(ctx context.Context, m *core.Model, ov core.Overlay)
 			res, poisoned, err = nil, true, nil
 		}
 	}()
-	sv.Push()
+	m.Push()
 	if err := m.Assert(ov); err != nil {
 		// Planning validated the overlay, so this is unexpected; the
 		// encoder is fine once the scope unwinds.
-		return nil, sv.Pop() != nil, err
+		return nil, m.Pop() != nil, err
 	}
 	res, err = s.checkModel(ctx, m)
 	if err != nil {
 		return nil, true, err
 	}
-	// An Inconclusive solve was torn mid-flight: skip the Pop and
-	// quarantine. A verdict predating a failed Pop stands, but the encoder
-	// does not go back to the pool.
-	return res, res.Inconclusive || sv.Pop() != nil, nil
+	// An Inconclusive check (torn mid-flight, or refused by the replay):
+	// skip the Pop and quarantine. A verdict predating a failed Pop stands,
+	// but the encoder does not go back to the pool.
+	return res, res.Inconclusive || m.Pop() != nil, nil
 }
 
 // checkModel answers one verification check with a sequential solve. The
 // solve counter and the in-flight-workers gauge cover the exact solver
-// lifetime.
+// lifetime; a feasible verdict the model's replay refused is counted.
 func (s *Service) checkModel(ctx context.Context, m *core.Model) (*core.Result, error) {
 	s.m.sequentialSolves.Add(1)
 	defer s.m.trackWorkers(1)()
-	return m.CheckContext(ctx)
+	res, err := m.CheckContext(ctx)
+	if err == nil && errors.Is(res.Why, core.ErrRefused) {
+		s.m.feasibleReplayRejects.Add(1)
+	}
+	return res, err
 }
 
 // verifyFresh answers one item of g on a throwaway encoder — proof groups,
@@ -137,9 +142,6 @@ func (s *Service) verifyFresh(ctx context.Context, g *sweepGroup, ov core.Overla
 		res, err := s.checkModel(ctx, m)
 		if err != nil {
 			return itemFailure(err.Error())
-		}
-		if err := s.replayFeasible(func() (*core.Scenario, error) { return sc.With(ov) }, res); err != nil {
-			return replayRejected(err)
 		}
 		return s.buildResponse(res, false, retries)
 	}()
@@ -209,7 +211,7 @@ func (s *Service) screenItem(ctx context.Context, base *core.Scenario, ov core.O
 	} else {
 		s.m.screenAccepts.Add(1)
 	}
-	r := s.buildResponse(core.ResultFromScreen(res), false, 0)
+	r := s.buildResponse(res.Result, false, 0)
 	r.Screened = true
 	return r
 }

@@ -102,9 +102,10 @@ func (l Limits) runContext(ctx context.Context) (context.Context, context.Cancel
 
 // verifyCandidate checks one attack model against a candidate (asserted by
 // the caller inside the model's current scope) under the escalating budget
-// ladder starting at b; an unlimited b gets a single attempt. It returns
-// the final result; res.Inconclusive set means the ladder was exhausted
-// without a verdict.
+// ladder starting at b; an unlimited b gets a single attempt, and so does
+// an Unknown no retry can help (deadline, cancellation, a witness the
+// exact evaluator refused). It returns the final result; res.Inconclusive
+// set means the ladder ended without a verdict.
 func verifyCandidate(ctx context.Context, attack *core.Model, b smt.Budget) (*core.Result, error) {
 	tries := budgetAttempts
 	if b.IsZero() {
@@ -118,12 +119,8 @@ func verifyCandidate(ctx context.Context, attack *core.Model, b smt.Budget) (*co
 		if err != nil {
 			return nil, err
 		}
-		if !res.Inconclusive {
+		if !res.Inconclusive || !res.Stats.Unknown.Retryable() {
 			return res, nil
-		}
-		if ctx.Err() != nil {
-			// Deadline or cancellation: a bigger budget cannot help.
-			break
 		}
 		b = b.Scale(budgetGrowth)
 	}

@@ -172,3 +172,43 @@ func TestBudgetMeasurementGranular(t *testing.T) {
 		t.Fatalf("BestCandidate empty after a post-blocking selection")
 	}
 }
+
+// doneCounter counts the solver's Done queries on a check's context. A
+// check asks a fixed number of times, so one plain check calibrates it.
+type doneCounter struct {
+	context.Context
+	n int
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.n++
+	return c.Context.Done()
+}
+
+// TestBudgetLadderStopsOnRefusedWitness tightens a model's scenario after
+// encoding, so every feasible witness fails the exact evaluator: the
+// ladder must not re-solve a refused witness under larger budgets.
+func TestBudgetLadderStopsOnRefusedWitness(t *testing.T) {
+	sc := core.NewScenario(grid.IEEE14())
+	sc.AnyState = true
+	attack, err := core.NewModel(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.MaxAlteredMeasurements = 1
+	one := &doneCounter{Context: context.Background()}
+	if _, err := attack.CheckContext(one); err != nil {
+		t.Fatal(err)
+	}
+	ladder := &doneCounter{Context: context.Background()}
+	res, err := verifyCandidate(ladder, attack, smt.Budget{MaxConflicts: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Inconclusive || !errors.Is(res.Why, core.ErrRefused) {
+		t.Fatalf("ladder = inconclusive %v, why %v; want the refusal", res.Inconclusive, res.Why)
+	}
+	if ladder.n != one.n {
+		t.Fatalf("ladder ran %d checks, want 1", ladder.n/one.n)
+	}
+}

@@ -388,9 +388,9 @@ func (w *worker) verify(ctx context.Context, sel *selectionModel, candidate []in
 				return false, nil, nil
 			}
 		}
-		attack.Solver().Push()
+		attack.Push()
 		defeated, inconclusive, err := w.refute(ctx, sel, attack, candidate)
-		if popErr := attack.Solver().Pop(); err == nil {
+		if popErr := attack.Pop(); err == nil {
 			err = popErr
 		}
 		if err != nil || inconclusive != nil || defeated {

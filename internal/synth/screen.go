@@ -33,7 +33,7 @@ func screenCandidate(ctx context.Context, sc *core.Scenario, ov core.Overlay) (s
 		return screen.Inconclusive, nil
 	}
 	if res.Verdict == screen.FeasibleIntegral {
-		return res.Verdict, res.Attack.CompromisedBuses
+		return res.Verdict, res.Result.CompromisedBuses
 	}
 	return res.Verdict, nil
 }
