@@ -70,6 +70,29 @@ func BenchmarkFig4aVerification(b *testing.B) {
 	}
 }
 
+// BenchmarkExactMeasurementDeltas measures the exact evaluator (Eqs. 5–26)
+// on a Fig. 4(a) witness: the check every feasible verdict passes before it
+// is published, and the whole cost of a warm verdict served from a pooled
+// encoder's witness ring.
+func BenchmarkExactMeasurementDeltas(b *testing.B) {
+	for _, name := range []string{"ieee30", "ieee57"} {
+		sys := mustCase(b, name)
+		sc := verifyScenario(sys, 1+sys.Buses/2)
+		res, err := core.Verify(sc)
+		if err != nil || !res.Feasible {
+			b.Fatalf("%s: no Fig. 4(a) witness (feasible=%v, err=%v)", name, res != nil && res.Feasible, err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.ExactMeasurementDeltas(sc, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig4bTakenMeasurements measures verification time against the
 // share of taken measurements (paper Fig. 4(b)).
 func BenchmarkFig4bTakenMeasurements(b *testing.B) {

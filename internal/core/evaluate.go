@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
 
-	"segrid/internal/lpbuild"
+	"segrid/internal/numeric"
 )
 
 // evaluate is the model's one exact semantics (Eqs. 5–26). From an
@@ -18,19 +17,19 @@ import (
 // compromised buses they imply (ascending), or the first violated
 // constraint. The screen's replay calls it before every accept;
 // ExactMeasurementDeltas is its public face for SMT results.
-func (sc *Scenario) evaluate(r *Result) (deltas []*big.Rat, altered, compromised []int, err error) {
+//
+// The arithmetic runs on numeric.Q, which stays on machine words and
+// promotes to big.Rat only when a value would overflow, so it is exact
+// either way; the admittances are the system's own (System.ExactAdmittance).
+func (sc *Scenario) evaluate(r *Result) (deltas []numeric.Q, altered, compromised []int, err error) {
 	sys := sc.System()
 	nl := sys.NumLines()
-	zero := new(big.Rat)
-	theta := make([]*big.Rat, sys.Buses+1)
-	for j := range theta {
-		theta[j] = zero
-	}
+	theta := make([]numeric.Q, sys.Buses+1)
 	for j, d := range r.StateChanges {
 		if j < 1 || j > sys.Buses || d == nil {
 			return nil, nil, nil, fmt.Errorf("core: malformed state change on bus %d (buses 1..%d)", j, sys.Buses)
 		}
-		theta[j] = d
+		theta[j] = numeric.QFromRat(d)
 	}
 	if theta[sc.RefBus].Sign() != 0 {
 		return nil, nil, nil, fmt.Errorf("core: reference bus %d angle changed", sc.RefBus)
@@ -72,26 +71,23 @@ func (sc *Scenario) evaluate(r *Result) (deltas []*big.Rat, altered, compromised
 	// Measurement deltas (Eqs. 6, 7, 13, 14): ΔPL_i = ΔPS_i + ΔPT_i on the
 	// forward flow, its negation on the backward flow, and each bus's net
 	// inflow change on its consumption measurement.
-	deltas = make([]*big.Rat, sys.NumMeasurements()+1)
-	for id := range deltas {
-		deltas[id] = new(big.Rat)
-	}
+	deltas = make([]numeric.Q, sys.NumMeasurements()+1)
 	for _, ln := range sys.Lines {
 		i := ln.ID
 		if sc.StrictKnowledge && !sc.knows(i) && theta[ln.From].Cmp(theta[ln.To]) != 0 {
 			return nil, nil, nil, fmt.Errorf("core: unknown line %d has a nonzero state difference under strict knowledge", i)
 		}
-		flow := deltas[i]
+		var flow numeric.Q
 		if mapped[i] {
-			flow.Sub(theta[ln.From], theta[ln.To])
-			flow.Mul(flow, lpbuild.AdmittanceRat(ln.Admittance))
+			flow = theta[ln.From].Sub(theta[ln.To]).Mul(sys.ExactAdmittance(i))
 		}
 		if poisoned[i] {
-			flow.Add(flow, r.TopoFlowDeltas[i])
+			flow = flow.Add(numeric.QFromRat(r.TopoFlowDeltas[i]))
 		}
-		deltas[nl+i].Neg(flow)
-		deltas[2*nl+ln.To].Add(deltas[2*nl+ln.To], flow)
-		deltas[2*nl+ln.From].Sub(deltas[2*nl+ln.From], flow)
+		deltas[i] = flow
+		deltas[nl+i] = flow.Neg()
+		deltas[2*nl+ln.To] = deltas[2*nl+ln.To].Add(flow)
+		deltas[2*nl+ln.From] = deltas[2*nl+ln.From].Sub(flow)
 	}
 
 	// Alteration (Eqs. 15–19, 23): a taken measurement whose delta is
@@ -125,11 +121,12 @@ func (sc *Scenario) evaluate(r *Result) (deltas []*big.Rat, altered, compromised
 
 	// Goal (Eqs. 5, 25, 26): cx_j is Δθ_j ≠ 0, or |Δθ_j| ≥ ε under MinChange.
 	eps := minChangeEps(sc.MinChange)
+	epsQ := numeric.QFromRat(eps)
 	cx := func(j int) bool {
 		if eps == nil {
 			return theta[j].Sign() != 0
 		}
-		return new(big.Rat).Abs(theta[j]).Cmp(eps) >= 0
+		return theta[j].Abs().Cmp(epsQ) >= 0
 	}
 	target := make(map[int]bool, len(sc.TargetStates))
 	for _, t := range sc.TargetStates {
@@ -171,7 +168,7 @@ func (sc *Scenario) evaluate(r *Result) (deltas []*big.Rat, altered, compromised
 // reported altered measurements or compromised buses differ from the ones
 // its state and topology changes imply. Integration tests replay the
 // returned deltas against the real WLS estimator.
-func ExactMeasurementDeltas(sc *Scenario, res *Result) ([]*big.Rat, error) {
+func ExactMeasurementDeltas(sc *Scenario, res *Result) ([]numeric.Q, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -199,8 +196,8 @@ func FloatMeasurementDeltas(sc *Scenario, res *Result) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, len(exact))
-	for i, r := range exact {
-		out[i], _ = r.Float64()
+	for i, q := range exact {
+		out[i], _ = q.Rat().Float64()
 	}
 	return out, nil
 }

@@ -3,6 +3,9 @@ package grid
 import (
 	"fmt"
 	"math"
+	"sync"
+
+	"segrid/internal/numeric"
 )
 
 // QuantizeAdmittance rounds an admittance to four decimals. All embedded
@@ -12,6 +15,15 @@ import (
 // most two decimals anyway.
 func QuantizeAdmittance(y float64) float64 {
 	return math.Round(y*1e4) / 1e4
+}
+
+// ExactAdmittance is QuantizeAdmittance's rounding as an exact rational:
+// y to four decimals, in lowest terms. It is the one admittance the formal
+// model reads. NewSystem stores it per line for the exact evaluator
+// (System.ExactAdmittance), and internal/lpbuild.AdmittanceRat hands the
+// same value to the SMT encoding and the LP relaxation.
+func ExactAdmittance(y float64) numeric.Q {
+	return numeric.QFromFrac(int64(math.Round(y*1e4)), 10_000)
 }
 
 // IEEE14 returns the IEEE 14-bus test system with the exact line admittances
@@ -133,22 +145,37 @@ func Synthetic(name string, buses, lines int, seed uint64) (*System, error) {
 	return NewSystem(name, buses, ls)
 }
 
+// builtin builds each registered case once, on first use.
+var builtin = map[string]func() *System{
+	"ieee14":  sync.OnceValue(IEEE14),
+	"ieee30":  sync.OnceValue(IEEE30),
+	"ieee57":  syntheticCase("ieee57", 57, 80, 57),
+	"ieee118": syntheticCase("ieee118", 118, 186, 118),
+	"ieee300": syntheticCase("ieee300", 300, 411, 300),
+}
+
+func syntheticCase(name string, buses, lines int, seed uint64) func() *System {
+	return sync.OnceValue(func() *System {
+		s, err := Synthetic(name, buses, lines, seed)
+		if err != nil {
+			panic("grid: built-in case " + name + " invalid: " + err.Error())
+		}
+		return s
+	})
+}
+
 // Case returns a registered test system by name: ieee14, ieee30, ieee57,
 // ieee118, ieee300. The latter three are deterministic synthetic stand-ins
 // with the standard cases' exact bus and line counts (see Synthetic).
+//
+// Each case is built once per process and every call returns that one
+// System, shared by all callers and goroutines: it must not be mutated.
+// Callers that need to edit a network build their own with NewSystem,
+// IEEE14, IEEE30 or Synthetic.
 func Case(name string) (*System, error) {
-	switch name {
-	case "ieee14":
-		return IEEE14(), nil
-	case "ieee30":
-		return IEEE30(), nil
-	case "ieee57":
-		return Synthetic("ieee57", 57, 80, 57)
-	case "ieee118":
-		return Synthetic("ieee118", 118, 186, 118)
-	case "ieee300":
-		return Synthetic("ieee300", 300, 411, 300)
-	default:
+	build, ok := builtin[name]
+	if !ok {
 		return nil, fmt.Errorf("grid: unknown test case %q", name)
 	}
+	return build(), nil
 }

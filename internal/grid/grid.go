@@ -14,6 +14,8 @@ package grid
 import (
 	"errors"
 	"fmt"
+
+	"segrid/internal/numeric"
 )
 
 // Line is a transmission line (branch). Admittance is the DC-model line
@@ -24,15 +26,18 @@ type Line struct {
 	Admittance float64
 }
 
-// System is a transmission network.
+// System is a transmission network. It is immutable once NewSystem
+// returns it: nothing is derived lazily, so one System may be read by any
+// number of goroutines (Case shares one per built-in case).
 type System struct {
 	Name  string
 	Buses int
 	Lines []Line
 
-	// Derived incidence indexes, built by Validate/finish.
-	inLines  [][]int // per bus (1-based): line IDs with To = bus
-	outLines [][]int // per bus: line IDs with From = bus
+	// Derived by NewSystem.
+	exact    []numeric.Q // per line (1-based): ExactAdmittance of its admittance
+	inLines  [][]int     // per bus (1-based): line IDs with To = bus
+	outLines [][]int     // per bus: line IDs with From = bus
 }
 
 // NewSystem builds a system and validates it. Lines must be numbered 1..l
@@ -42,7 +47,7 @@ func NewSystem(name string, buses int, lines []Line) (*System, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	s.buildIndexes()
+	s.derive()
 	return s, nil
 }
 
@@ -76,10 +81,12 @@ func (s *System) validate() error {
 	return nil
 }
 
-func (s *System) buildIndexes() {
+func (s *System) derive() {
+	s.exact = make([]numeric.Q, len(s.Lines)+1)
 	s.inLines = make([][]int, s.Buses+1)
 	s.outLines = make([][]int, s.Buses+1)
 	for _, ln := range s.Lines {
+		s.exact[ln.ID] = ExactAdmittance(ln.Admittance)
 		s.outLines[ln.From] = append(s.outLines[ln.From], ln.ID)
 		s.inLines[ln.To] = append(s.inLines[ln.To], ln.ID)
 	}
@@ -93,6 +100,11 @@ func (s *System) NumMeasurements() int { return 2*len(s.Lines) + s.Buses }
 
 // Line returns the line with the given 1-based ID.
 func (s *System) Line(id int) Line { return s.Lines[id-1] }
+
+// ExactAdmittance returns the admittance of the line with the given 1-based
+// ID as the exact rational the formal model reads (the package function
+// ExactAdmittance of its Admittance), computed once by NewSystem.
+func (s *System) ExactAdmittance(id int) numeric.Q { return s.exact[id] }
 
 // InLines returns the IDs of lines whose to-bus is j.
 func (s *System) InLines(j int) []int { return s.inLines[j] }

@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -98,6 +100,49 @@ func TestSyntheticValidation(t *testing.T) {
 func TestUnknownCase(t *testing.T) {
 	if _, err := Case("ieee9999"); err == nil {
 		t.Fatalf("unknown case accepted")
+	}
+}
+
+// freshCases builds every registered case anew, as Case built it at first
+// use.
+func freshCases(t *testing.T) map[string]*System {
+	t.Helper()
+	out := map[string]*System{"ieee14": IEEE14(), "ieee30": IEEE30()}
+	for _, c := range []struct {
+		name         string
+		buses, lines int
+	}{{"ieee57", 57, 80}, {"ieee118", 118, 186}, {"ieee300", 300, 411}} {
+		s, err := Synthetic(c.name, c.buses, c.lines, uint64(c.buses))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[c.name] = s
+	}
+	return out
+}
+
+// TestCaseShared checks that Case builds each case once: concurrent calls
+// return one pointer, and that system deep-equals a fresh build.
+func TestCaseShared(t *testing.T) {
+	for name, fresh := range freshCases(t) {
+		got := make([]*System, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _ = Case(name)
+			}()
+		}
+		wg.Wait()
+		for _, s := range got[1:] {
+			if s != got[0] {
+				t.Fatalf("%s: Case returned distinct systems %p and %p", name, got[0], s)
+			}
+		}
+		if !reflect.DeepEqual(got[0], fresh) {
+			t.Fatalf("%s: shared system differs from a fresh build", name)
+		}
 	}
 }
 

@@ -5,12 +5,13 @@
 // and need the same float→rational quantization, bounded-variable idioms
 // and line/bus-flow row shapes; keeping one copy here keeps their
 // arithmetic identical. AdmittanceRat is also what the UFDI model's SMT
-// encoding and exact evaluator use, which the screen's soundness contract
-// depends on.
+// encoding uses. The exact evaluator reads the same rational as a
+// numeric.Q (grid.System.ExactAdmittance): both derive from the one
+// admittance rounding, grid.ExactAdmittance, which the screen's soundness
+// contract depends on.
 package lpbuild
 
 import (
-	"math"
 	"math/big"
 
 	"segrid/internal/grid"
@@ -33,14 +34,15 @@ func copysign(h, f float64) float64 {
 }
 
 // AdmittanceRat converts a line admittance to an exact small rational by
-// rounding to four decimals. The paper's data has at most two decimals, so
-// embedded cases round-trip exactly; keeping denominators small keeps the
-// exact simplex arithmetic fast. Both lowerings of the UFDI model in
-// internal/core and its exact evaluator MUST share this function: the
-// screen's definitive verdicts transfer to the full model only when both
-// talk about the same rational admittances.
+// rounding to four decimals: grid.ExactAdmittance as a fresh *big.Rat. The
+// paper's data has at most two decimals, so embedded cases round-trip
+// exactly; keeping denominators small keeps the exact simplex arithmetic
+// fast. Both lowerings of the UFDI model in internal/core and its exact
+// evaluator MUST read this one rounding: the screen's definitive verdicts
+// transfer to the full model only when both talk about the same rational
+// admittances.
 func AdmittanceRat(y float64) *big.Rat {
-	return big.NewRat(int64(math.Round(y*1e4)), 10000)
+	return new(big.Rat).Set(grid.ExactAdmittance(y).Rat())
 }
 
 // Fix asserts v = b (a lower and an upper bound at the same value), both

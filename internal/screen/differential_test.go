@@ -17,6 +17,7 @@ import (
 
 	"segrid/internal/core"
 	"segrid/internal/grid"
+	"segrid/internal/numeric"
 	"segrid/internal/screen"
 )
 
@@ -96,15 +97,41 @@ func scenarioLabel(sc *core.Scenario) string {
 		sc.StrictKnowledge, sc.MinChange)
 }
 
+// evaluation renders core's exact evaluator's answer on r: the deltas, or
+// the error text.
+func evaluation(sc *core.Scenario, r *core.Result) string {
+	deltas, err := core.ExactMeasurementDeltas(sc, r)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprint(deltas)
+}
+
+// sameOnBigRat fails when the evaluator answers r differently with every
+// rational operation forced onto big.Rat than on its machine-word fast
+// path. SetForceBig is process-global, so no test here runs in parallel.
+func sameOnBigRat(t *testing.T, sc *core.Scenario, r *core.Result, what string) {
+	t.Helper()
+	fast := evaluation(sc, r)
+	prev := numeric.SetForceBig(true)
+	slow := evaluation(sc, r)
+	numeric.SetForceBig(prev)
+	if fast != slow {
+		t.Fatalf("%s: evaluator answers %s on machine words, %s on big.Rat", what, fast, slow)
+	}
+}
+
 // checkWitness runs a feasible result through core's exact evaluator, and
 // checks that the evaluator is not vacuous on it: the same result with one
 // altered measurement dropped from its report, or with a target's Δθ
-// zeroed, must be rejected. It returns how many such tamperings it tried.
+// zeroed, must be rejected. The evaluator must answer each of them the
+// same on big.Rat arithmetic. It returns how many tamperings it tried.
 func checkWitness(t *testing.T, sc *core.Scenario, res *core.Result, what string) int {
 	t.Helper()
 	if _, err := core.ExactMeasurementDeltas(sc, res); err != nil {
 		t.Fatalf("%s fails the exact evaluator: %v", what, err)
 	}
+	sameOnBigRat(t, sc, res, what)
 	tampered := 0
 	if n := len(res.AlteredMeasurements); n > 0 {
 		r := *res
@@ -112,6 +139,7 @@ func checkWitness(t *testing.T, sc *core.Scenario, res *core.Result, what string
 		if _, err := core.ExactMeasurementDeltas(sc, &r); err == nil {
 			t.Fatalf("%s: evaluator accepts it with altered measurement %d unreported", what, res.AlteredMeasurements[n-1])
 		}
+		sameOnBigRat(t, sc, &r, what+" with a measurement unreported")
 		tampered++
 	}
 	if len(sc.TargetStates) > 0 {
@@ -124,6 +152,7 @@ func checkWitness(t *testing.T, sc *core.Scenario, res *core.Result, what string
 		if _, err := core.ExactMeasurementDeltas(sc, &r); err == nil {
 			t.Fatalf("%s: evaluator accepts it with target %d's change zeroed", what, sc.TargetStates[0])
 		}
+		sameOnBigRat(t, sc, &r, what+" with a target zeroed")
 		tampered++
 	}
 	return tampered

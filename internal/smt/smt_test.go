@@ -365,6 +365,23 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestStatsAllocBytes checks that a check which allocates reports it: the
+// encoding and simplex of a 200-variable chain x_i ≥ x_{i-1} + 1 allocate
+// far more than the per-P allocation caches the counter may lag by.
+func TestStatsAllocBytes(t *testing.T) {
+	s := NewSolver(DefaultOptions())
+	prev := s.RealVar("x0")
+	for i := 1; i < 200; i++ {
+		x := s.RealVar("x")
+		s.Assert(GE(NewLinExpr().TermInt(1, x).TermInt(-1, prev), rat(1, 1)))
+		prev = x
+	}
+	res := checkStatus(t, s, Sat)
+	if res.Stats.AllocBytes == 0 {
+		t.Fatalf("AllocBytes = 0 after a check that allocates: %+v", res.Stats)
+	}
+}
+
 func TestUnknownBoolVarRejected(t *testing.T) {
 	s := NewSolver(DefaultOptions())
 	s.Assert(B(BoolVar(99)))

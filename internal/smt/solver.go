@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"segrid/internal/lra"
@@ -93,7 +93,9 @@ type Stats struct {
 	FastOps int64
 	BigOps  int64
 	// AllocBytes is the total heap allocated while encoding and solving,
-	// the reproduction's analogue of the paper's solver memory usage.
+	// the reproduction's analogue of the paper's solver memory usage. It
+	// is the growth of the process-wide /gc/heap/allocs:bytes counter of
+	// runtime/metrics across the check.
 	AllocBytes uint64
 	Duration   time.Duration
 	// Workers is the effective parallel worker count that produced this
@@ -311,6 +313,16 @@ func (s *Solver) Check() (*Result, error) {
 	return s.CheckContext(context.Background())
 }
 
+// heapAllocBytes reads the process's cumulative heap allocation. Unlike
+// runtime.ReadMemStats it does not stop the world, so concurrent checks
+// do not pause each other to measure themselves; the counter lags by at
+// most the allocations still cached per P.
+func heapAllocBytes() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
+}
+
 // CheckContext solves the current assertion stack under ctx. Cancellation
 // is polled inside the CDCL search loop, the simplex pivot loop and the
 // encoding pass, so even checks that would otherwise spin unboundedly
@@ -320,8 +332,7 @@ func (s *Solver) Check() (*Result, error) {
 // for genuinely broken inputs (malformed formulas).
 func (s *Solver) CheckContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
+	allocBefore := heapAllocBytes()
 
 	budget := s.opts.Budget
 	ctrl := &controller{ctx: ctx, interrupter: s.opts.Interrupter}
@@ -335,9 +346,7 @@ func (s *Solver) CheckContext(ctx context.Context) (*Result, error) {
 	enc.beginCheck(budget, ctrl)
 
 	finish := func(res *Result) *Result {
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		res.Stats.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
+		res.Stats.AllocBytes = heapAllocBytes() - allocBefore
 		res.Stats.Duration = time.Since(start)
 		if res.Status == Unknown {
 			res.Stats.Unknown = ClassifyUnknown(res.Why)
