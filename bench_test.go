@@ -9,8 +9,12 @@
 package segrid
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"segrid/internal/acflow"
@@ -537,6 +541,59 @@ func BenchmarkSweepVsSequential(b *testing.B) {
 			svc.Close()
 		}
 	})
+}
+
+// BenchmarkServeVerifyWarm measures segridd's main path as one call of the
+// service's HTTP handler: a warm ieee30 Fig. 4(a) verify that the pooled
+// encoder's witness ring answers. It covers decoding, planning, the
+// scheduler, the ring hit with its exact evaluator check and encoding the
+// response; an httptest.ResponseRecorder stands in for the network.
+func BenchmarkServeVerifyWarm(b *testing.B) {
+	sys := mustCase(b, "ieee30")
+	body, err := json.Marshal(service.VerifyRequest{Attack: scenariofile.AttackSpec{
+		Case:            "ieee30",
+		Targets:         []int{1 + sys.Buses/2},
+		MaxMeasurements: sys.NumMeasurements() / 4,
+		MaxBuses:        sys.Buses / 4,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		b.Fatalf("service.New: %v", err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	serve := func() *service.VerifyResponse {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/verify", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("verify answered %d: %s", rec.Code, rec.Body)
+		}
+		var resp service.VerifyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			b.Fatal(err)
+		}
+		return &resp
+	}
+	// The first request builds the encoder and fills its ring; from the
+	// second on the ring answers.
+	if r := serve(); r.Status != "feasible" {
+		b.Fatalf("cold verify = %+v, want feasible", r)
+	}
+	if r := serve(); !r.Reused {
+		b.Fatalf("warm verify = %+v, want a ring hit", r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/verify", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("verify answered %d: %s", rec.Code, rec.Body)
+		}
+	}
 }
 
 // BenchmarkLNRIdentification measures one full LNR pass with a planted

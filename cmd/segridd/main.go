@@ -12,10 +12,13 @@
 // Flags:
 //
 //	-addr host:port   listen address (default 127.0.0.1:8547)
-//	-concurrency n    solver threads draining the shared work-unit queue; all
-//	                  requests' units (verify checks and LP screens, sweep
-//	                  groups, syntheses, certificate checks) share these
-//	                  workers under deficit-round-robin fairness (default 4)
+//	-concurrency n    work units solving at once (default 4). All requests'
+//	                  units (verify checks and LP screens, sweep groups,
+//	                  syntheses, certificate checks) share this bound under
+//	                  deficit-round-robin fairness. Queued units run on
+//	                  that many scheduler workers; a request's only unit
+//	                  runs on its own goroutine when a slot is free and
+//	                  nothing is queued
 //	-queue n          requests the scheduler holds waiting for their first
 //	                  work unit to start; one more sheds 429 (default 16)
 //	-queue-wait d     max wait for a request's first work unit to start; past
@@ -85,7 +88,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("segridd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8547", "listen address")
-	concurrency := fs.Int("concurrency", 4, "solver threads draining the shared work-unit queue")
+	concurrency := fs.Int("concurrency", 4, "work units solving at once: scheduler workers plus requests running their one unit inline")
 	queue := fs.Int("queue", 16, "requests waiting for their first work unit; one more sheds 429")
 	queueWait := fs.Duration("queue-wait", 2*time.Second, "max wait for a request's first work unit to start")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")

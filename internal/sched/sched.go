@@ -21,10 +21,20 @@
 // first Submit until its first unit starts, and Config bounds how many flows
 // may wait and for how long.
 //
-// Units run to completion on a worker; the scheduler never preempts.
+// Where units run: a submitted unit runs on a worker. A flow's one unit
+// passed to Flow.Do runs on the calling goroutine instead, but only when the
+// scheduler is open, no unit is queued anywhere and fewer than Workers units
+// are running; otherwise Do queues it like Submit. Such an inline unit
+// counts as running, and workers pick a unit only while fewer than Workers
+// run, so the concurrency bound covers inline and worker units together.
+// An inline unit never overtakes a queued one, so DRR still orders every
+// unit that had to queue.
+//
+// Units run to completion; the scheduler never preempts.
 package sched
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"time"
@@ -51,7 +61,7 @@ var ErrQueueWait = errors.New("sched: no unit started within the queue wait")
 type Config struct {
 	// Workers is the number of goroutines draining units (default 4). It is
 	// the scheduler-layer concurrency bound: at most Workers units execute at
-	// once.
+	// once, counting the units Flow.Do runs on their callers.
 	Workers int
 
 	// MaxQueue bounds the waiting flows: those admitted with no unit
@@ -71,6 +81,9 @@ type Stats struct {
 	FlowsOpened uint64
 	// UnitsRun counts units run to completion.
 	UnitsRun uint64
+	// UnitsInline counts the units of UnitsRun that Flow.Do ran on its
+	// caller.
+	UnitsInline uint64
 	// UnitsAborted counts queued units removed before running, by
 	// Flow.Abort or by the queue wait.
 	UnitsAborted uint64
@@ -152,18 +165,19 @@ func (s *Scheduler) NewFlow(weight int) *Flow {
 
 // Close stops the scheduler: units already queued still run (the shutdown
 // drains, it never abandons accepted work), Submit refuses new units with
-// ErrClosed, and Close returns once every worker has exited.
+// ErrClosed, Do starts none inline, and Close returns once every worker has
+// exited and no inline unit is running.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
+	s.mu.Lock()
+	for s.stats.Running > 0 {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
 }
 
 // Stats snapshots the scheduler counters and gauges.
@@ -254,11 +268,10 @@ func (f *Flow) abortLocked(err error) bool {
 }
 
 // Wait blocks until every submitted unit of the flow has finished (or was
-// removed by an abort). It is a passive wait: the calling goroutine does not
-// execute units — request goroutines wait here while scheduler workers do
-// the work, keeping solver concurrency at the worker bound. It returns nil
-// when the units ran, ErrAborted after a winning Abort and ErrQueueWait
-// when no unit started within QueueWait.
+// removed by an abort). It is a passive wait: the calling goroutine runs no
+// unit, its own or another flow's, while scheduler workers do the work. It
+// returns nil when the units ran, ErrAborted after a winning Abort and
+// ErrQueueWait when no unit started within QueueWait.
 func (f *Flow) Wait() error {
 	s := f.s
 	s.mu.Lock()
@@ -269,14 +282,83 @@ func (f *Flow) Wait() error {
 	return f.err
 }
 
-// worker is one scheduler goroutine: pick a unit by DRR, run it, repeat.
+// WaitContext is Wait for a caller that may go away: cancelling ctx while
+// none of the flow's units has started aborts the flow, and WaitContext
+// then reports ErrAborted. A ctx that passes its deadline aborts nothing;
+// the units run and see the expired ctx themselves.
+func (f *Flow) WaitContext(ctx context.Context) error {
+	stop := context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.Canceled) {
+			f.Abort() // loses, harmlessly, once a unit has started
+		}
+	})
+	defer stop()
+	return f.Wait()
+}
+
+// Do runs fn as one unit of the flow and waits for it. When the scheduler
+// is open, no unit is queued and fewer than Workers units are running, fn
+// runs at once on the calling goroutine: the flow is admitted and started
+// without ever waiting, so no queue-wait timer or cancellation hook is
+// armed. Otherwise Do is Submit followed by WaitContext(ctx), and returns
+// what they return.
+func (f *Flow) Do(ctx context.Context, cost int, fn func()) error {
+	if fn == nil {
+		return errors.New("sched: nil unit")
+	}
+	if f.startInline() {
+		defer f.finishInline()
+		fn()
+		return nil
+	}
+	if err := f.Submit(cost, fn); err != nil {
+		return err
+	}
+	return f.WaitContext(ctx)
+}
+
+// startInline claims a worker slot for a unit the caller runs itself, when
+// the scheduler is open, the flow is not aborted, nothing is queued and a
+// slot is free.
+func (f *Flow) startInline() bool {
+	s := f.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || f.err != nil || s.stats.Queued > 0 || s.stats.Running >= s.cfg.Workers {
+		return false
+	}
+	f.pending++
+	f.started = true
+	s.stats.Running++
+	s.stats.UnitsInline++
+	return true
+}
+
+// finishInline retires an inline unit. Nobody waits on its flow, but a
+// worker held back by the slot it occupied may now pick a queued unit, and
+// Close may be waiting for the unit.
+func (f *Flow) finishInline() {
+	s := f.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Running--
+	s.stats.UnitsRun++
+	f.pending--
+	if s.stats.Queued > 0 || s.closed {
+		s.cond.Broadcast()
+	}
+}
+
+// worker is one scheduler goroutine: pick a unit by DRR, run it, repeat. It
+// exits on Close once no unit is queued; a unit still queued behind an
+// inline one keeps it waiting for the slot.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
 		f, u, ok := s.pickLocked()
 		if !ok {
-			if s.closed {
+			if s.closed && s.stats.Queued == 0 {
 				s.mu.Unlock()
 				return
 			}
@@ -298,9 +380,10 @@ func (s *Scheduler) worker() {
 // every full pass strictly grows all unserved credits, so the loop
 // terminates in at most max-head-cost passes. Serving does not advance the
 // ring position: a flow with remaining credit is served again next pick,
-// which is DRR's per-turn burst.
+// which is DRR's per-turn burst. It picks nothing while Workers units,
+// inline ones included, are running.
 func (s *Scheduler) pickLocked() (*Flow, unit, bool) {
-	if s.stats.Queued == 0 {
+	if s.stats.Queued == 0 || s.stats.Running >= s.cfg.Workers {
 		return nil, unit{}, false
 	}
 	for {

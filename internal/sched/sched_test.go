@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -411,4 +412,276 @@ func TestSchedStressAdmission(t *testing.T) {
 		t.Fatalf("UnitsRun+UnitsAborted = %d, want the %d submitted", got, submitted.Load())
 	}
 	t.Logf("%d flows refused, %d expired in the queue", refused.Load(), expired.Load())
+}
+
+// eventually polls cond until it holds, failing the test after five
+// seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// holdInline starts a Do on its own goroutine whose unit blocks until the
+// returned release is called; it returns once the unit is running.
+func holdInline(t *testing.T, s *Scheduler) (release func(), done <-chan error) {
+	t.Helper()
+	started, rel, out := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		out <- s.NewFlow(1).Do(context.Background(), 1, func() {
+			close(started)
+			<-rel
+		})
+	}()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("held unit never started")
+	}
+	return func() { close(rel) }, out
+}
+
+// TestSchedInlineRunsOnCaller checks Do on an idle scheduler runs its unit
+// on the calling goroutine: a panic in the unit reaches the caller, the
+// flow never waits (a 1 ns queue wait aborts nothing), and the slot is
+// released with the unit counted in UnitsRun and UnitsInline.
+func TestSchedInlineRunsOnCaller(t *testing.T) {
+	s := New(Config{Workers: 1, QueueWait: time.Nanosecond})
+	defer s.Close()
+
+	var during Stats
+	err := s.NewFlow(1).Do(context.Background(), 1, func() {
+		time.Sleep(time.Millisecond) // outlives the queue wait
+		during = s.Stats()
+	})
+	if err != nil {
+		t.Fatalf("Do on an idle scheduler = %v", err)
+	}
+	if during.Running != 1 || during.Waiting != 0 || during.Queued != 0 {
+		t.Fatalf("stats inside the inline unit = %+v, want it running and nothing waiting", during)
+	}
+
+	func() {
+		defer func() {
+			if r := recover(); r != "unit panic" {
+				t.Fatalf("recovered %v, want the unit's panic on the caller", r)
+			}
+		}()
+		_ = s.NewFlow(1).Do(context.Background(), 1, func() { panic("unit panic") })
+	}()
+	if st := s.Stats(); st.UnitsRun != 2 || st.UnitsInline != 2 || st.Running != 0 || st.UnitsAborted != 0 {
+		t.Fatalf("stats = %+v, want two inline units run and the slot free", st)
+	}
+}
+
+// TestSchedInlineBoundHoldsDo holds the only slot with an inline unit: a
+// second Do must queue, not run beside it, and a worker runs it once the
+// slot frees.
+func TestSchedInlineBoundHoldsDo(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	release, held := holdInline(t, s)
+
+	var ran atomic.Bool
+	second := make(chan error, 1)
+	go func() { second <- s.NewFlow(1).Do(context.Background(), 1, func() { ran.Store(true) }) }()
+	eventually(t, "the second Do to queue", func() bool { return s.Stats().Queued == 1 })
+	if ran.Load() {
+		t.Fatal("second unit ran beside the inline unit holding the only slot")
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil || !ran.Load() {
+		t.Fatalf("second Do = %v (ran %v), want its unit run", err, ran.Load())
+	}
+	if st := s.Stats(); st.UnitsRun != 2 || st.UnitsInline != 1 {
+		t.Fatalf("stats = %+v, want one inline and one worker unit", st)
+	}
+}
+
+// TestSchedInlineBoundHoldsWorkers holds the only slot with an inline
+// unit: an idle worker must not pick a submitted unit until the inline one
+// finishes, and that finish must wake it.
+func TestSchedInlineBoundHoldsWorkers(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	release, held := holdInline(t, s)
+
+	var ran atomic.Bool
+	f := s.NewFlow(1)
+	if err := f.Submit(1, func() { ran.Store(true) }); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // an idle worker would pick it by now
+	if ran.Load() {
+		t.Fatal("a worker ran a unit beside the inline unit holding the only slot")
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- f.Wait() }()
+	select {
+	case err := <-waited:
+		if err != nil || !ran.Load() {
+			t.Fatalf("Wait = %v (ran %v)", err, ran.Load())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the inline unit's finish never woke a worker for the queued unit")
+	}
+}
+
+// TestSchedInlineNeverOvertakesQueued queues a unit behind an inline one
+// and calls Do again the moment the inline unit returns: the queued unit
+// must start first.
+func TestSchedInlineNeverOvertakesQueued(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+
+	var o order
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		err := s.NewFlow(1).Do(context.Background(), 1, func() {
+			close(started)
+			<-release
+		})
+		if err == nil {
+			err = s.NewFlow(1).Do(context.Background(), 1, o.add("do"))
+		}
+		done <- err
+	}()
+	<-started
+	queued := s.NewFlow(1)
+	if err := queued.Submit(1, o.add("queued")); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := queued.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"queued", "do"}; fmt.Sprint(o.got) != fmt.Sprint(want) {
+		t.Fatalf("start order = %v, want %v", o.got, want)
+	}
+}
+
+// TestSchedInlineCloseWaits checks Close outlasts an inline unit, as it
+// outlasts a worker's, and that Do starts nothing inline once closed.
+func TestSchedInlineCloseWaits(t *testing.T) {
+	s := New(Config{Workers: 2})
+	release, held := holdInline(t, s)
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	eventually(t, "Close to refuse new units", func() bool {
+		return s.NewFlow(1).Submit(1, func() {}) == ErrClosed
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an inline unit was running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := s.NewFlow(1).Do(context.Background(), 1, func() { t.Error("unit ran after Close") }); err != ErrClosed {
+		t.Fatalf("Do after Close = %v, want ErrClosed", err)
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned after the inline unit finished")
+	}
+}
+
+// TestSchedInlineStress races Do callers (some of whose clients go away)
+// against multi-unit flows and aborts on a two-worker scheduler. Running
+// units, inline ones included, never exceed Workers; every unit runs at
+// most once; and UnitsRun+UnitsAborted equals the units handed in. Run
+// under -race in CI.
+func TestSchedInlineStress(t *testing.T) {
+	const workers = 2
+	s := New(Config{Workers: workers})
+
+	var running, peak atomic.Int32
+	var ran, handedIn atomic.Int64
+	body := func() {
+		n := running.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(20 * time.Microsecond)
+		running.Add(-1)
+		ran.Add(1)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				f := s.NewFlow(1)
+				switch (g + i) % 4 {
+				case 0, 1:
+					handedIn.Add(1)
+					if err := f.Do(context.Background(), 1, body); err != nil {
+						t.Errorf("Do = %v", err)
+					}
+				case 2:
+					ctx, cancel := context.WithCancel(context.Background())
+					go cancel()
+					handedIn.Add(1)
+					if err := f.Do(ctx, 1, body); err != nil && err != ErrAborted {
+						t.Errorf("Do with a cancelled client = %v", err)
+					}
+				case 3:
+					for u := 0; u < 3; u++ {
+						if err := f.Submit(1, body); err != nil {
+							t.Errorf("Submit = %v", err)
+						}
+						handedIn.Add(1)
+					}
+					if !f.Abort() {
+						f.Wait()
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.Close()
+
+	st := s.Stats()
+	if p := peak.Load(); p > workers {
+		t.Fatalf("%d units ran at once, bound is %d", p, workers)
+	}
+	if st.Queued != 0 || st.Running != 0 || st.Waiting != 0 {
+		t.Fatalf("gauges nonzero after close: %+v", st)
+	}
+	if got := int64(st.UnitsRun + st.UnitsAborted); got != handedIn.Load() {
+		t.Fatalf("UnitsRun+UnitsAborted = %d, want the %d handed in", got, handedIn.Load())
+	}
+	if ran.Load() != int64(st.UnitsRun) {
+		t.Fatalf("units actually run %d != UnitsRun %d", ran.Load(), st.UnitsRun)
+	}
+	if st.UnitsInline == 0 || st.UnitsInline >= st.UnitsRun {
+		t.Fatalf("stats = %+v: want both inline and worker units", st)
+	}
 }

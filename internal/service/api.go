@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/big"
 
 	"segrid/internal/pool"
 	"segrid/internal/scenariofile"
@@ -257,18 +256,6 @@ func poolKey(spec *scenariofile.AttackSpec) (pool.Key, error) {
 		return pool.Key{}, err
 	}
 	return pool.Key{Topology: spec.Case, Shape: string(canon)}, nil
-}
-
-// ratMap renders exact model rationals for the wire.
-func ratMap(in map[int]*big.Rat) map[string]string {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(in))
-	for k, v := range in {
-		out[fmt.Sprintf("%d", k)] = v.RatString()
-	}
-	return out
 }
 
 // unknownToken maps an smt reason to its wire token, "other" for

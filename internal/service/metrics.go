@@ -95,11 +95,10 @@ type Metrics struct {
 	WitnessReuseMisses    uint64 `json:"witnessReuseMisses"`
 	FeasibleReplayRejects uint64 `json:"feasibleReplayRejects"`
 
-	// Sched reports the work-unit scheduler: units run, units discarded by
+	// Sched reports the work-unit scheduler: units run (UnitsInline of them
+	// on their own request goroutine, see sched.Flow.Do), units discarded by
 	// admission aborts, requests waiting for a first unit (what MaxQueue
 	// bounds), and the current unit queue depth and occupancy.
-	// UnitsInline always reads 0: every unit runs on a scheduler worker.
-	// It stays on the wire because segridbench reads it.
 	Sched struct {
 		FlowsOpened  uint64 `json:"flowsOpened"`
 		UnitsRun     uint64 `json:"unitsRun"`
@@ -156,6 +155,7 @@ func (m *metrics) snapshot(ps pool.Stats, ss sched.Stats) *Metrics {
 	}
 	out.Sched.FlowsOpened = ss.FlowsOpened
 	out.Sched.UnitsRun = ss.UnitsRun
+	out.Sched.UnitsInline = ss.UnitsInline
 	out.Sched.UnitsAborted = ss.UnitsAborted
 	out.Sched.Waiting = ss.Waiting
 	out.Sched.Queued = ss.Queued

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math/big"
@@ -299,7 +300,7 @@ func TestVerifyRejectsTamperedWitness(t *testing.T) {
 				if len(wm.witnesses) != 1 {
 					t.Fatalf("ring holds %d attacks after one feasible check, want 1", len(wm.witnesses))
 				}
-				wm.witnesses[0] = tamper(*wm.witnesses[0])
+				wm.witnesses[0] = newWitness(tamper(*wm.witnesses[0].res))
 			})
 			before := metricsOn(t, srv)
 			r, err := svc.Verify(ctx, &VerifyRequest{Attack: obj2Spec()})
@@ -345,5 +346,56 @@ func TestVerifyFeasibleReplayRejectDiscardsEncoder(t *testing.T) {
 	}
 	if m := metricsOn(t, srv); m.FeasibleReplayRejects != 1 {
 		t.Fatalf("feasibleReplayRejects = %d after a rebuilt encoder, want 1", m.FeasibleReplayRejects)
+	}
+}
+
+// TestVerifyReusedAnswerMatchesSolverAnswer checks the wire strings a ring
+// entry renders once: every reused answer serializes exactly as the SMT
+// answer that filled the ring (apart from warm, reused and elapsedMs), the
+// published attack passes the exact evaluator, and editing a returned
+// response's state changes or attack slices never changes the next reused
+// answer.
+func TestVerifyReusedAnswerMatchesSolverAnswer(t *testing.T) {
+	svc, _ := newTestServer(t, Config{})
+	ctx := context.Background()
+	req := &VerifyRequest{Attack: obj2Spec()}
+	wire := func(r *VerifyResponse) string {
+		t.Helper()
+		c := *r
+		c.Warm, c.Reused, c.ElapsedMs = false, false, 0
+		raw, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	vandalize := func(r *VerifyResponse) {
+		for bus := range r.StateChanges {
+			r.StateChanges[bus] = "0"
+		}
+		r.StateChanges["999"] = "1"
+		r.AlteredMeasurements[0] = -1
+		r.CompromisedBuses[0] = -1
+	}
+
+	solved, err := svc.Verify(ctx, req)
+	if err != nil || solved.Status != "feasible" || solved.Reused || len(solved.StateChanges) == 0 {
+		t.Fatalf("first verify = %+v, %v; want a solver-answered feasible attack with state changes", solved, err)
+	}
+	sc := foldedScenario(t, obj2Spec(), SweepItem{})
+	if _, err := core.ExactMeasurementDeltas(sc, witnessOf(t, solved)); err != nil {
+		t.Fatalf("published attack fails the evaluator: %v", err)
+	}
+	want := wire(solved)
+	vandalize(solved)
+	for i := 0; i < 3; i++ {
+		r, err := svc.Verify(ctx, req)
+		if err != nil || !r.Reused || !r.Warm {
+			t.Fatalf("verify %d = %+v, %v; want a warm reused answer", i, r, err)
+		}
+		if got := wire(r); got != want {
+			t.Fatalf("reused answer %d\n got %s\nwant %s", i, got, want)
+		}
+		vandalize(r)
 	}
 }

@@ -14,7 +14,9 @@
 //     screens included, a verify a one-item sweep, a synthesis or a proof
 //     check one unit. A fixed worker set drains units with
 //     deficit-round-robin fairness across requests, so a large sweep
-//     interleaves with small verifies instead of blocking them.
+//     interleaves with small verifies instead of blocking them; a one-unit
+//     request starts on its own goroutine when a slot is free and nothing
+//     is queued.
 //   - The scheduler is also the admission queue: it bounds the waiting
 //     requests and how long one may wait for its first unit to start.
 //     Excess load is shed with 429/503 plus Retry-After — an overloaded
@@ -61,11 +63,12 @@ import (
 // Config parameterizes a Service. The zero value is usable: defaults are
 // applied by New.
 type Config struct {
-	// MaxConcurrent is the scheduler's worker count (default 4): the fixed
-	// set of goroutines draining work units from every request with
-	// deficit-round-robin fairness, and so the bound on units solving at
-	// once. The solver is CPU-bound; more workers than cores buys latency,
-	// not throughput.
+	// MaxConcurrent is the scheduler's worker count (default 4): the bound
+	// on units solving at once, whether on the fixed set of goroutines
+	// draining queued units with deficit-round-robin fairness or on a
+	// request goroutine running its one unit inline (sched.Flow.Do). The
+	// solver is CPU-bound; more workers than cores buys latency, not
+	// throughput.
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for their first work unit to start
 	// (default 16). A request arriving past it is shed immediately with 429.
@@ -160,7 +163,7 @@ func (s *Service) cubeWorkers(asked int) int {
 // with the encoder.
 type warmModel struct {
 	model     *core.Model
-	witnesses []*core.Result
+	witnesses []*witness
 }
 
 // Service is the analytics server. Construct with New; register its Handler
@@ -310,30 +313,30 @@ type unit struct {
 }
 
 // runFlow runs units as one scheduler flow of the given weight and waits
-// for them. The scheduler is the admission queue: a flow refused at the
-// queue bound is a 429, one whose first unit did not start within the
-// queue wait a 503, and one whose ctx was cancelled while it was still
-// queued (the client went away) a 499. A deadline expiring in the queue
-// aborts nothing: the units run and answer inconclusive themselves.
+// for them. A one-unit flow goes through sched.Flow.Do, so it runs on the
+// request goroutine when a worker slot is free and nothing is queued. The
+// scheduler is the admission queue: a flow refused at the queue bound is a
+// 429, one whose first unit did not start within the queue wait a 503, and
+// one whose ctx was cancelled while it was still queued (the client went
+// away) a 499. A deadline expiring in the queue aborts nothing: the units
+// run and answer inconclusive themselves.
 func (s *Service) runFlow(ctx context.Context, weight int, units []unit) *handlerError {
 	fl := s.sched.NewFlow(weight)
-	stop := context.AfterFunc(ctx, func() {
-		if errors.Is(ctx.Err(), context.Canceled) {
-			fl.Abort() // loses, harmlessly, once a unit has started
-		}
-	})
-	defer stop()
 	var err error
-	for _, u := range units {
-		if err = fl.Submit(u.cost, u.fn); err != nil {
-			break
+	if len(units) == 1 {
+		err = fl.Do(ctx, units[0].cost, units[0].fn)
+	} else {
+		for _, u := range units {
+			if err = fl.Submit(u.cost, u.fn); err != nil {
+				break
+			}
 		}
-	}
-	// Drain whatever was submitted (units may be writing into the
-	// response) before reporting a refusal, rather than publish a torn
-	// answer.
-	if werr := fl.Wait(); err == nil {
-		err = werr
+		// Drain whatever was submitted (units may be writing into the
+		// response) before reporting a refusal, rather than publish a torn
+		// answer.
+		if werr := fl.WaitContext(ctx); err == nil {
+			err = werr
+		}
 	}
 	switch {
 	case err == nil:

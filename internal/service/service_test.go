@@ -395,6 +395,60 @@ func TestAdmissionProofCheckIsShed(t *testing.T) {
 	}
 }
 
+// TestSchedInlineVerifyCounts checks /metrics unitsInline counts the
+// one-unit flows that ran on their request goroutine: a verify on an idle
+// server runs inline, and one queued behind a held slot runs on a worker,
+// adding to unitsRun only.
+func TestSchedInlineVerifyCounts(t *testing.T) {
+	ctx := context.Background()
+	svc, srv := newTestServer(t, Config{MaxConcurrent: 1})
+	for i := 0; i < 2; i++ { // a cold and a warm verify
+		m0 := metricsOn(t, srv)
+		if _, err := svc.Verify(ctx, &VerifyRequest{Attack: obj2Spec()}); err != nil {
+			t.Fatal(err)
+		}
+		m1 := metricsOn(t, srv)
+		if in, run := m1.Sched.UnitsInline-m0.Sched.UnitsInline, m1.Sched.UnitsRun-m0.Sched.UnitsRun; in != 1 || run != 1 {
+			t.Fatalf("verify %d on an idle server: unitsInline +%d, unitsRun +%d; want +1 and +1", i, in, run)
+		}
+	}
+
+	// The holder pattern of TestAdmissionProofCheckIsShed: a fault-stalled
+	// verify, inline itself, holds the only slot.
+	svc, srv = newTestServer(t, Config{
+		MaxConcurrent: 1,
+		QueueWait:     10 * time.Second,
+		Faults:        faultinject.New(11, faultinject.Config{PStall: 1, MaxAfterPolls: 1, StallFor: 50 * time.Millisecond}),
+	})
+	// In-process requests carry their deadline in ctx: the holder stalls
+	// until its own, and the queued verify's has passed when it starts.
+	holdCtx, cancelHold := context.WithTimeout(ctx, 300*time.Millisecond)
+	defer cancelHold()
+	queuedCtx, cancelQueued := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancelQueued()
+	m0 := metricsOn(t, srv)
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		_, _ = svc.Verify(holdCtx, &VerifyRequest{Attack: obj2Spec()})
+	}()
+	waitFor(t, "the holder to occupy the slot", func() bool { return svc.SchedStats().Running == 1 })
+	queued := make(chan error, 1)
+	go func() {
+		_, err := svc.Verify(queuedCtx, &VerifyRequest{Attack: obj2Spec()})
+		queued <- err
+	}()
+	waitFor(t, "the second verify to queue", func() bool { return svc.SchedStats().Queued == 1 })
+	<-held
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+	m1 := metricsOn(t, srv)
+	if in, run := m1.Sched.UnitsInline-m0.Sched.UnitsInline, m1.Sched.UnitsRun-m0.Sched.UnitsRun; in != 1 || run != 2 {
+		t.Fatalf("holder plus queued verify: unitsInline +%d, unitsRun +%d; want +1 (the holder) and +2", in, run)
+	}
+}
+
 // TestProofStreamFaultNeverPublishes injects a certificate-sink failure:
 // the verdict must stand, the failure must be reported, and nothing may be
 // published.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -85,9 +86,14 @@ func (s *Service) planSweep(req *SweepRequest, proof bool) ([]*sweepGroup, *hand
 		maxMeas, maxBuses int
 	}
 	memo := make(map[delta]*sweepGroup)
+	var buf []byte
 	for i := range req.Items {
 		eff, ov := planItem(&req.Attack, &req.Items[i])
-		d := delta{fmt.Sprint(eff.Targets), eff.MaxMeasurements, eff.MaxBuses}
+		buf = buf[:0]
+		for _, t := range eff.Targets {
+			buf = strconv.AppendInt(append(buf, ','), int64(t), 10)
+		}
+		d := delta{string(buf), eff.MaxMeasurements, eff.MaxBuses}
 		g := memo[d]
 		if g == nil {
 			key, err := poolKey(eff)
@@ -254,13 +260,14 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 		}
 		warm, wm := lease.Warm(), lease.Item
 		if w := s.reuseWitness(wm, ov); w != nil {
-			r := s.buildResponse(w, warm, 0)
+			r := w.response(warm, 0)
 			r.Reused = true
 			return r
 		}
 		res, poisoned, err := s.checkWarm(ctx, wm.model, ov)
+		var w *witness
 		if res != nil && res.Feasible {
-			wm.remember(res)
+			w = wm.remember(res)
 		}
 		if poisoned {
 			s.m.poisoned.Add(1)
@@ -270,6 +277,8 @@ func (s *Service) runGroup(ctx context.Context, g *sweepGroup, screen bool, out 
 		switch {
 		case err != nil:
 			return itemFailure(err.Error())
+		case w != nil:
+			return w.response(warm, 0)
 		case res != nil && !res.Inconclusive:
 			return s.buildResponse(res, warm, 0)
 		case (res == nil || res.Stats.Unknown.Retryable()) && ctx.Err() == nil:

@@ -216,8 +216,9 @@ func (s *Service) screenItem(ctx context.Context, base *core.Scenario, ov core.O
 	return r
 }
 
-// buildResponse maps a core.Result onto the wire. A nil result (panic on
-// the warm rung with no fresh retry possible) reports inconclusive.
+// buildResponse maps a core.Result onto the wire, a feasible one as a ring
+// witness would answer it. A nil result (panic on the warm rung with no
+// fresh retry possible) reports inconclusive.
 func (s *Service) buildResponse(res *core.Result, warm bool, retries int) *VerifyResponse {
 	resp := &VerifyResponse{Warm: warm, Retries: retries}
 	if res == nil {
@@ -234,12 +235,7 @@ func (s *Service) buildResponse(res *core.Result, warm bool, retries int) *Verif
 		}
 		resp.UnknownReason = unknownToken(res.Stats.Unknown)
 	case res.Feasible:
-		resp.Status = "feasible"
-		resp.AlteredMeasurements = res.AlteredMeasurements
-		resp.CompromisedBuses = res.CompromisedBuses
-		resp.ExcludedLines = res.ExcludedLines
-		resp.IncludedLines = res.IncludedLines
-		resp.StateChanges = ratMap(res.StateChanges)
+		return newWitness(res).response(warm, retries)
 	default:
 		resp.Status = "infeasible"
 	}
