@@ -1,15 +1,14 @@
 // Command proofcheck independently validates UNSAT certificate streams
 // emitted by the solver stack (ufdiverify -proof, synthsec -proof, or the
 // smt package's Options.Proof). It replays every derivation: learnt clauses
-// must pass reverse unit propagation (RUP, with a RAT fallback), theory
-// lemmas must carry valid Farkas coefficients over the recorded atom and
-// slack definitions, Tseitin and cardinality definitional clauses are
-// re-derived from their provenance records through the shared encoding
-// kernel (never taken on faith from the solver), and every recorded Unsat
-// verdict must close under unit propagation. The checker shares no search
-// code with the solver — only the encoding kernel and the exact-arithmetic
-// layer — so a bug in the CDCL, simplex, or clause-emission paths cannot
-// vouch for itself.
+// must pass reverse unit propagation (RUP), theory lemmas must carry valid
+// Farkas coefficients over the recorded atom and slack definitions, Tseitin
+// and cardinality definitional clauses are re-derived from their provenance
+// records through the shared encoding kernel (never taken on faith from the
+// solver), and every recorded Unsat verdict must close under unit
+// propagation. The checker shares no search code with the solver — only the
+// encoding kernel and the exact-arithmetic layer — so a bug in the CDCL,
+// simplex, or clause-emission paths cannot vouch for itself.
 //
 // Usage:
 //

@@ -35,13 +35,13 @@ func (r *Report) String() string {
 }
 
 // Check verifies a proof stream: every derived clause must pass reverse unit
-// propagation (with a RAT fallback on its first literal), every theory lemma
-// must carry valid Farkas coefficients over the recorded atom and slack
-// definitions, every gate/cardinality definitional clause is re-derived
-// through the shared cnf kernel from its provenance record (with the output
-// and register variables required fresh, so a definitional extension cannot
-// constrain existing variables), and every Unsat record must close under
-// unit propagation from its assumptions. The checker trusts only the
+// propagation, every theory lemma must carry valid Farkas coefficients over
+// the recorded atom and slack definitions, every gate/cardinality
+// definitional clause is re-derived through the shared cnf kernel from its
+// provenance record (with the output and register variables required fresh,
+// so a definitional extension cannot constrain existing variables), and
+// every Unsat record must close under unit propagation from its
+// assumptions. The checker trusts only the
 // genuinely asserted input clauses; it shares no search code with the solver
 // and does arithmetic exclusively through internal/numeric.
 func Check(r io.Reader) (*Report, error) {
@@ -302,82 +302,6 @@ func (c *checker) noteConflict(conflict *ckClause, rootLit sat.Lit) {
 	if c.tr != nil {
 		c.tr.addConflictDeps(c, conflict, rootLit)
 	}
-}
-
-// rat checks the clause by resolution asymmetric tautology on its first
-// literal: every resolvent with a clause containing its negation must be RUP
-// (or a tautology). This is the DRAT fallback for clauses that are not
-// themselves RUP; the solver's learnt clauses are RUP by construction, so
-// this path exists for format generality.
-func (c *checker) rat(lits []sat.Lit) bool {
-	if len(lits) == 0 {
-		return false
-	}
-	if c.tr != nil {
-		// RAT justifications depend on the *absence* of resolution partners,
-		// which trimming could invalidate; the trimmer bails out instead.
-		c.tr.usedRAT = true
-	}
-	pivot := lits[0]
-	neg := pivot.Not()
-	for _, cl := range c.clauses {
-		if cl.deleted {
-			continue
-		}
-		hasNeg := false
-		for _, l := range cl.lits {
-			if l == neg {
-				hasNeg = true
-				break
-			}
-		}
-		if !hasNeg {
-			continue
-		}
-		resolvent, taut := resolve(lits, cl.lits, pivot)
-		if taut {
-			continue
-		}
-		if !c.rup(resolvent) {
-			return false
-		}
-	}
-	return true
-}
-
-// resolve builds the resolvent of a and b on pivot (pivot ∈ a, ¬pivot ∈ b),
-// reporting whether it is a tautology.
-func resolve(a, b []sat.Lit, pivot sat.Lit) ([]sat.Lit, bool) {
-	seen := make(map[sat.Lit]bool, len(a)+len(b))
-	out := make([]sat.Lit, 0, len(a)+len(b)-2)
-	add := func(l sat.Lit) bool {
-		if seen[l] {
-			return false
-		}
-		if seen[l.Not()] {
-			return true
-		}
-		seen[l] = true
-		out = append(out, l)
-		return false
-	}
-	for _, l := range a {
-		if l == pivot {
-			continue
-		}
-		if add(l) {
-			return nil, true
-		}
-	}
-	for _, l := range b {
-		if l == pivot.Not() {
-			continue
-		}
-		if add(l) {
-			return nil, true
-		}
-	}
-	return out, false
 }
 
 // install adds a verified clause to the database under the given id. The
@@ -655,8 +579,8 @@ func (c *checker) apply(rec *Record, rep *Report) error {
 		rep.Derived++
 		if c.rootConflict {
 			c.noteEntailedByRoot()
-		} else if !c.rup(rec.Lits) && !c.rat(rec.Lits) {
-			return fmt.Errorf("clause %d is neither RUP nor RAT", rec.ID)
+		} else if !c.rup(rec.Lits) {
+			return fmt.Errorf("clause %d is not RUP", rec.ID)
 		}
 		return c.install(rec.ID, rec.Lits)
 	case KindTheoryLemma:

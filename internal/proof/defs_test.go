@@ -196,6 +196,47 @@ func TestCheckRejectsTamperedCardBound(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsTamperedCardDef tampers with a guarded CardDef record,
+// or adds a derived clause the record does not imply; the checker must
+// refuse each stream. The record is an input to the kernel, so flipping
+// its guard or dropping an input changes the re-derived circuit, and a
+// clause over k+2 inputs without the guard is not implied: the guard
+// absorbs any number of true inputs.
+func TestCheckRejectsTamperedCardDef(t *testing.T) {
+	guard := sat.NegLit(9)
+	cases := map[string]func([]*Record) []*Record{
+		"flipped guard": func(recs []*Record) []*Record {
+			recs[0].Guard = recs[0].Guard.Not()
+			return recs
+		},
+		"dropped input": func(recs []*Record) []*Record {
+			recs[0].Lits = recs[0].Lits[1:]
+			return recs
+		},
+		"unguarded learnt over k+2 inputs": func(recs []*Record) []*Record {
+			learnt := &Record{Kind: KindDerived, ID: 100, Lits: []sat.Lit{sat.NegLit(0), sat.NegLit(1), sat.NegLit(2)}}
+			return append(recs[:1], append([]*Record{learnt}, recs[1:]...)...)
+		},
+	}
+	for name, edit := range cases {
+		buf, _ := cardProof(t, guard)
+		recs, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[0].Kind != KindCardDef {
+			t.Fatalf("first record is %v, want the CardDef", recs[0].Kind)
+		}
+		var mutated bytes.Buffer
+		if err := WriteAll(&mutated, edit(recs)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Check(&mutated); err == nil {
+			t.Errorf("%s: checker accepted the tampered stream", name)
+		}
+	}
+}
+
 // TestCheckRejectsNonFreshDefVariables pins the soundness core of
 // re-derivation: a definitional record may only introduce clauses over a
 // variable the segment has never seen, otherwise "definitions" could

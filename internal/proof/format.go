@@ -68,8 +68,8 @@ const (
 	// proof establishes.
 	KindInput
 	// KindDerived is a clause the solver learnt; the checker verifies it by
-	// reverse unit propagation (RUP), falling back to a RAT check on the
-	// first literal.
+	// reverse unit propagation (RUP). The solver learns only RUP clauses,
+	// so the checker has no RAT fallback.
 	KindDerived
 	// KindTheoryLemma is a clause ¬b₁ ∨ … ∨ ¬bₙ whose literals negate
 	// asserted bounds, justified by Farkas coefficients: Coeffs[i] scales

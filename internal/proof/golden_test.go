@@ -1,6 +1,9 @@
 package proof
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -33,5 +36,19 @@ func TestGoldenCertificate(t *testing.T) {
 	}
 	if *rep != want {
 		t.Fatalf("golden report drifted:\n got %+v\nwant %+v", *rep, want)
+	}
+}
+
+// TestCheckRefusesOtherFormatVersion: a stream whose header names another
+// format version is refused as version skew (ErrVersion), never decoded
+// under this version's record layout.
+func TestCheckRefusesOtherFormatVersion(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.proof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("SGPF1\n"), golden[len(magic):]...)
+	if _, err := Check(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Check on a format-1 stream = %v, want ErrVersion", err)
 	}
 }

@@ -118,9 +118,8 @@ func TestCheckRejectsCorruptedLiteral(t *testing.T) {
 	}
 	for _, rec := range recs {
 		if rec.Kind == KindDerived {
-			// The learnt unit y becomes a unit over a fresh variable. The
-			// step itself is blocked (vacuously RAT), but the final conflict
-			// no longer propagates, so the proof as a whole must fail.
+			// The learnt unit y becomes a unit over a fresh variable,
+			// which no propagation derives.
 			rec.Lits[0] = sat.PosLit(7)
 		}
 	}
@@ -138,13 +137,31 @@ func TestCheckRejectsNonRUPDerivation(t *testing.T) {
 	w := NewWriter(&buf)
 	x, y := sat.PosLit(0), sat.PosLit(1)
 	w.LogInput([]sat.Lit{x, y})
-	// (¬y ∨ x) does not follow from (x ∨ y): it is neither RUP nor RAT.
+	// (¬y ∨ x) does not follow from (x ∨ y): it is not RUP.
 	w.LogLearnt([]sat.Lit{y.Not(), x})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Check(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("checker accepted an underivable clause")
+	}
+}
+
+// TestCheckRejectsRATOnlyDerivation: a unit over a fresh variable is a
+// blocked clause — RAT, vacuously, since no clause mentions its negation —
+// but not RUP. The solver never learns such a clause, so the checker has no
+// RAT fallback and must reject it.
+func TestCheckRejectsRATOnlyDerivation(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	x, y, z := sat.PosLit(0), sat.PosLit(1), sat.PosLit(2)
+	w.LogInput([]sat.Lit{x, y})
+	w.LogLearnt([]sat.Lit{z})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Check(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "not RUP") {
+		t.Fatalf("Check = %v, want the RAT-only clause rejected as not RUP", err)
 	}
 }
 

@@ -31,10 +31,6 @@ type trimTracer struct {
 	// rootDeps, once the segment hits a permanent root conflict, holds the
 	// record indices that established it.
 	rootDeps []int
-	// usedRAT marks that some derivation needed the RAT fallback, whose
-	// validity depends on clauses being *absent*; trimming then bails out
-	// conservatively and returns the stream unchanged.
-	usedRAT bool
 
 	// varMark/markGen give addConflictDeps an O(1) visited set without
 	// allocating one per conflict.
@@ -144,9 +140,7 @@ func (s TrimStats) Ratio() float64 {
 // tracking, then walks backward keeping only the records reachable from the
 // Unsat answers (Restart markers always stay; a Delete stays only when the
 // clause it removes does). The input must be a valid proof — Trim verifies
-// it as it replays and fails on the first invalid record. When a derivation
-// needed the RAT fallback the stream is returned unchanged, since RAT checks
-// can be invalidated by removing clauses.
+// it as it replays and fails on the first invalid record.
 //
 // The trimmed stream verifies on its own: every kept record's justification
 // — RUP propagation chains, install-time purges, Farkas definitions, root
@@ -165,10 +159,6 @@ func Trim(recs []*Record) ([]*Record, *Report, error) {
 			return nil, nil, fmt.Errorf("proof: record %d (%v): %w", i+1, rec.Kind, err)
 		}
 	}
-	if tr.usedRAT {
-		return recs, rep, nil
-	}
-
 	need := make([]bool, len(recs))
 	for i := len(recs) - 1; i >= 0; i-- {
 		switch recs[i].Kind {

@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-// TestBudgetMaxPropagations exhausts the propagation budget on a hard
-// instance: the solver must stop with StatusUnknown, ErrPropBudget, and
-// partial statistics at (or just past) the limit.
-func TestBudgetMaxPropagations(t *testing.T) {
-	s := NewSolver(Options{MaxPropagations: 50})
-	addPigeonhole(t, s, 8)
-	st, err := s.Solve()
-	if st != StatusUnknown {
-		t.Fatalf("Solve = %v, want unknown", st)
-	}
-	if !errors.Is(err, ErrPropBudget) {
-		t.Fatalf("err = %v, want ErrPropBudget", err)
-	}
-	stats := s.Statistics()
-	if stats.Propagations < 50 {
-		t.Fatalf("Propagations = %d, want >= budget 50", stats.Propagations)
-	}
-}
-
 // TestBudgetMaxConflicts checks the conflict budget still returns Unknown
 // with ErrBudget and statistics at the cap.
 func TestBudgetMaxConflicts(t *testing.T) {

@@ -34,10 +34,6 @@ func (s Status) String() string {
 // ErrBudget is returned by Solve when the conflict budget is exhausted.
 var ErrBudget = errors.New("sat: conflict budget exhausted")
 
-// ErrPropBudget is returned by Solve when the propagation budget is
-// exhausted.
-var ErrPropBudget = errors.New("sat: propagation budget exhausted")
-
 // Stats collects solver counters, useful for the evaluation harness.
 type Stats struct {
 	Vars         int
@@ -59,8 +55,6 @@ type Options struct {
 	Theory Theory
 	// MaxConflicts bounds the search; ≤ 0 means unlimited.
 	MaxConflicts int64
-	// MaxPropagations bounds unit propagations; ≤ 0 means unlimited.
-	MaxPropagations int64
 	// Stop, if non-nil, is polled once at the start of Solve, at every
 	// conflict and every stopPollInterval propagations. A non-nil return
 	// aborts the search: Solve returns StatusUnknown and that error.
@@ -107,13 +101,12 @@ type Solver struct {
 	budget   int64
 	nextPoll int64 // propagation count at which Stop is polled next
 
-	// Per-call budget baselines: Statistics() stays cumulative across Solve
-	// calls, so budgets are measured against the counters captured at Solve
-	// entry. Without them a second Solve on the same instance would compare
-	// its fresh budget against the previous calls' accumulated work and
-	// spuriously return ErrBudget/ErrPropBudget immediately.
+	// Per-call budget baseline: Statistics() stays cumulative across Solve
+	// calls, so the conflict budget is measured against the counter captured
+	// at Solve entry. Without it a second Solve on the same instance would
+	// compare its fresh budget against the previous calls' accumulated work
+	// and spuriously return ErrBudget immediately.
 	baseConflicts int64
-	baseProps     int64
 
 	conflict []Lit // final conflict of the last SolveAssuming (over assumptions)
 
@@ -168,13 +161,12 @@ func (s *Solver) NewVar() Var {
 // to the theory via Theory.Assert.
 func (s *Solver) WatchTheoryVar(v Var) { s.theory[v] = true }
 
-// SetBudgets replaces the per-call conflict and propagation budgets (≤ 0
-// means unlimited). It takes effect at the next Solve/SolveAssuming call;
-// budgets are measured per call, not against the cumulative Statistics()
-// counters, so an incremental caller can re-budget every call independently.
-func (s *Solver) SetBudgets(maxConflicts, maxPropagations int64) {
+// SetBudgets replaces the per-call conflict budget (≤ 0 means unlimited).
+// It takes effect at the next Solve/SolveAssuming call; the budget is
+// measured per call, not against the cumulative Statistics() counters, so an
+// incremental caller can re-budget every call independently.
+func (s *Solver) SetBudgets(maxConflicts int64) {
 	s.opts.MaxConflicts = maxConflicts
-	s.opts.MaxPropagations = maxPropagations
 }
 
 // SetStop replaces the cancellation hook polled during search (nil clears
@@ -732,12 +724,9 @@ func (s *Solver) theoryConflictClause(expl []Lit) bool {
 	return s.handleConflict(&clause{lits: lits})
 }
 
-// pollLimits enforces the propagation budget and polls the Stop hook. It
+// pollLimits polls the Stop hook every stopPollInterval propagations. It
 // returns nil when the search may continue.
 func (s *Solver) pollLimits() error {
-	if s.opts.MaxPropagations > 0 && s.stats.Propagations-s.baseProps >= s.opts.MaxPropagations {
-		return ErrPropBudget
-	}
 	if s.opts.Stop != nil && s.stats.Propagations >= s.nextPoll {
 		s.nextPoll = s.stats.Propagations + stopPollInterval
 		return s.opts.Stop()
@@ -844,10 +833,9 @@ func (s *Solver) SolveAssuming(assumps ...Lit) (Status, error) {
 			return StatusUnknown, fmt.Errorf("sat: assumption references unknown literal %v", l)
 		}
 	}
-	// Baseline the per-call budgets and the Stop-poll cursor against the
+	// Baseline the per-call budget and the Stop-poll cursor against the
 	// cumulative counters (see the field comments).
 	s.baseConflicts = s.stats.Conflicts
-	s.baseProps = s.stats.Propagations
 	s.nextPoll = s.stats.Propagations
 	if s.opts.Stop != nil {
 		// Poll once up front so an already-expired deadline aborts before

@@ -274,9 +274,11 @@ func (s *Service) SchedStats() sched.Stats { return s.sched.Stats() }
 
 // Verify answers one verification request in-process, bypassing HTTP
 // transport — the benchmark harness's entry point for measuring the solve
-// path alone. It shares the workers, fairness and admission of HTTP
-// traffic: overload sheds it (an error carrying http 429 or 503), and a
-// ctx cancelled while queued is an error carrying 499.
+// path alone. It shares the workers, fairness, admission and request checks
+// of HTTP traffic: the request's timeoutMs (clamped to MaxTimeout) bounds
+// it, a proof request without a ProofDir is an error carrying http 400,
+// overload sheds it (an error carrying http 429 or 503), and a ctx
+// cancelled while queued is an error carrying 499.
 func (s *Service) Verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, error) {
 	resp, herr := s.verify(ctx, req)
 	if herr != nil {
@@ -352,8 +354,8 @@ func (s *Service) runFlow(ctx context.Context, weight int, units []unit) *handle
 	}
 }
 
-// requestContext applies the clamped per-request deadline.
-func (s *Service) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
+// requestContext applies the clamped per-request deadline to parent.
+func (s *Service) requestContext(parent context.Context, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
@@ -361,7 +363,7 @@ func (s *Service) requestContext(r *http.Request, timeoutMs int) (context.Contex
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(parent, d)
 }
 
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -371,15 +373,8 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, &handlerError{http.StatusBadRequest, fmt.Sprintf("bad verify request: %v", err)})
 		return
 	}
-	if req.Proof && s.cfg.ProofDir == "" {
-		s.writeFailure(w, errNoProofDir)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
 	start := time.Now()
-	resp, herr := s.verify(ctx, &req)
+	resp, herr := s.verify(r.Context(), &req)
 	if herr != nil {
 		s.writeFailure(w, herr)
 		return
@@ -412,11 +407,8 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, &handlerError{http.StatusBadRequest, fmt.Sprintf("bad sweep request: %v", err)})
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
 	start := time.Now()
-	resp, herr := s.sweep(ctx, &req, false)
+	resp, herr := s.sweep(r.Context(), &req, false)
 	if herr != nil {
 		s.writeFailure(w, herr)
 		return
@@ -441,7 +433,7 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, errNoProofDir)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
+	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMs)
 	defer cancel()
 
 	start := time.Now()

@@ -662,3 +662,53 @@ func TestSynthesizeErrorStatuses(t *testing.T) {
 		t.Fatalf("badRequests = %d, proofErrors = %d, want 1 and 1", bad, proofErrs)
 	}
 }
+
+// TestInProcessRequestsHonorTimeout: the in-process entry points apply the
+// request's clamped deadline as the HTTP handlers do. Every check here
+// stalls at each solver poll, so without the deadline a verify runs for
+// many seconds; with timeoutMs 300 it must come back inconclusive promptly.
+func TestInProcessRequestsHonorTimeout(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, run func(svc *Service) (string, error)) {
+		svc, _ := newTestServer(t, Config{
+			Faults: faultinject.New(11, faultinject.Config{PStall: 1, MaxAfterPolls: 1, StallFor: 50 * time.Millisecond}),
+		})
+		start := time.Now()
+		status, err := run(svc)
+		if elapsed := time.Since(start); err != nil || status != "inconclusive" || elapsed > 3*time.Second {
+			t.Errorf("%s with timeoutMs 300: %q, %v after %v; want inconclusive within the deadline", name, status, err, elapsed)
+		}
+	}
+	check("verify", func(svc *Service) (string, error) {
+		r, err := svc.Verify(ctx, &VerifyRequest{Attack: obj2Spec(), TimeoutMs: 300})
+		if err != nil {
+			return "", err
+		}
+		return r.Status, nil
+	})
+	check("sweep", func(svc *Service) (string, error) {
+		r, err := svc.Sweep(ctx, &SweepRequest{Attack: obj2Spec(), Items: []SweepItem{{}}, TimeoutMs: 300})
+		if err != nil {
+			return "", err
+		}
+		return r.Items[0].Status, nil
+	})
+}
+
+// TestInProcessProofNeedsProofDir: an in-process proof verify on a service
+// with no proof directory is refused like its HTTP twin, and publishes no
+// certificate of its infeasible verdict into the working directory.
+func TestInProcessProofNeedsProofDir(t *testing.T) {
+	svc, _ := newTestServer(t, Config{})
+	before, err := filepath.Glob("verify-*.proof")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = svc.Verify(context.Background(), &VerifyRequest{Attack: obj2Spec(), SecuredMeasurements: []int{46}, Proof: true})
+	if err == nil || !strings.Contains(err.Error(), "no proof directory") || !strings.Contains(err.Error(), "http 400") {
+		t.Errorf("proof verify without a proof directory = %v, want the 400 refusal", err)
+	}
+	if after, _ := filepath.Glob("verify-*.proof"); len(after) != len(before) {
+		t.Errorf("certificates in the working directory: %v before, %v after", before, after)
+	}
+}

@@ -168,14 +168,22 @@ func planItem(base *scenariofile.AttackSpec, item *SweepItem) (*scenariofile.Att
 	return eff, ov
 }
 
-// sweep plans and executes one sweep request (proof as in planSweep):
-// planning runs on the request goroutine, then each group becomes one
+// sweep plans and executes one sweep request (proof as in planSweep). It is
+// the entry point HTTP and in-process verifies and sweeps share, so the
+// request checks live here: a proof request needs a proof directory, and
+// the request's clamped deadline bounds everything after decoding.
+// Planning runs on the request goroutine, then each group becomes one
 // scheduler work unit costed by its item count, which screens and checks
 // the group's items. Group units from one sweep run concurrently when
 // workers are free and interleave with other requests' units under the
 // fairness policy. Proof requests explicitly ask for solver artifacts and
 // are never screened.
-func (s *Service) sweep(ctx context.Context, req *SweepRequest, proof bool) (*SweepResponse, *handlerError) {
+func (s *Service) sweep(parent context.Context, req *SweepRequest, proof bool) (*SweepResponse, *handlerError) {
+	if proof && s.cfg.ProofDir == "" {
+		return nil, errNoProofDir
+	}
+	ctx, cancel := s.requestContext(parent, req.TimeoutMs)
+	defer cancel()
 	groups, herr := s.planSweep(req, proof)
 	if herr != nil {
 		return nil, herr

@@ -26,9 +26,10 @@ import (
 // solver artifacts.
 func (s *Service) verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, *handlerError) {
 	one := &SweepRequest{
-		Attack: req.Attack,
-		Items:  []SweepItem{{SecuredBuses: req.SecuredBuses, SecuredMeasurements: req.SecuredMeasurements}},
-		Screen: req.Screen,
+		Attack:    req.Attack,
+		Items:     []SweepItem{{SecuredBuses: req.SecuredBuses, SecuredMeasurements: req.SecuredMeasurements}},
+		Screen:    req.Screen,
+		TimeoutMs: req.TimeoutMs,
 	}
 	resp, herr := s.sweep(ctx, one, req.Proof)
 	if herr != nil {

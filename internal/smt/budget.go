@@ -16,8 +16,6 @@ import (
 type Budget struct {
 	// MaxConflicts bounds the CDCL search's learnt conflicts.
 	MaxConflicts int64
-	// MaxPropagations bounds Boolean unit propagations.
-	MaxPropagations int64
 	// MaxPivots bounds simplex pivot steps across all theory checks.
 	MaxPivots int64
 }
@@ -42,16 +40,14 @@ func (b Budget) Scale(f float64) Budget {
 		return int64(nv)
 	}
 	b.MaxConflicts = scaleInt(b.MaxConflicts)
-	b.MaxPropagations = scaleInt(b.MaxPropagations)
 	b.MaxPivots = scaleInt(b.MaxPivots)
 	return b
 }
 
 // Resource names carried by BudgetError.
 const (
-	ResourceConflicts    = "conflicts"
-	ResourcePropagations = "propagations"
-	ResourcePivots       = "pivots"
+	ResourceConflicts = "conflicts"
+	ResourcePivots    = "pivots"
 )
 
 // BudgetError explains an Unknown result caused by resource exhaustion.
@@ -137,8 +133,8 @@ func (c *CountdownInterrupter) Fired() bool { return c.fired }
 
 // controller evaluates, at each interruption point, the stop conditions a
 // check is subject to: fault injection and context cancellation or
-// deadline. (Conflict, propagation and pivot budgets are enforced by the
-// solver loops that own those counters.)
+// deadline. (Conflict and pivot budgets are enforced by the solver loops
+// that own those counters.)
 type controller struct {
 	ctx         context.Context
 	interrupter Interrupter

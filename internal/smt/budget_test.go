@@ -190,9 +190,6 @@ func TestBudgetScaleSaturates(t *testing.T) {
 	if s.MaxPivots != 1<<63-1 {
 		t.Fatalf("MaxPivots = %d, want saturation at MaxInt64", s.MaxPivots)
 	}
-	if s.MaxPropagations != 0 {
-		t.Fatalf("MaxPropagations = %d, want still unlimited", s.MaxPropagations)
-	}
 	if b.IsZero() || (Budget{}).IsZero() != true {
 		t.Fatalf("IsZero misclassifies budgets")
 	}

@@ -199,7 +199,7 @@ func (e *encoder) syncVars() {
 // and the stat baselines captured.
 func (e *encoder) beginCheck(b Budget, ctrl *controller) {
 	e.syncVars()
-	e.sat.SetBudgets(b.MaxConflicts, b.MaxPropagations)
+	e.sat.SetBudgets(b.MaxConflicts)
 	e.sat.SetStop(ctrl.stopFunc(PointCDCL))
 	e.simplex.SetStop(ctrl.stopFunc(PointSimplex))
 	if b.MaxPivots > 0 {

@@ -447,7 +447,7 @@ func TestBudgetPerCheckOnPersistentSolver(t *testing.T) {
 	s.AssertAtMostK(bs, 2)
 	s.Assert(LE(NewLinExpr().TermInt(1, x).TermInt(2, y), big.NewRat(10, 1)))
 	s.Assert(GE(NewLinExpr().TermInt(3, x).TermInt(-1, y), big.NewRat(-4, 1)))
-	s.SetBudget(Budget{MaxPropagations: 100000, MaxConflicts: 10000, MaxPivots: 100000})
+	s.SetBudget(Budget{MaxConflicts: 10000, MaxPivots: 100000})
 	for i := 0; i < 6; i++ {
 		res, err := s.Check()
 		if err != nil {

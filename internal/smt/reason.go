@@ -18,8 +18,6 @@ const (
 	ReasonNone UnknownReason = iota
 	// ReasonConflictBudget: Budget.MaxConflicts was exhausted.
 	ReasonConflictBudget
-	// ReasonPropagationBudget: Budget.MaxPropagations was exhausted.
-	ReasonPropagationBudget
 	// ReasonPivotBudget: Budget.MaxPivots was exhausted.
 	ReasonPivotBudget
 	// ReasonCancelled: the CheckContext context was cancelled.
@@ -43,8 +41,6 @@ func (r UnknownReason) String() string {
 		return ""
 	case ReasonConflictBudget:
 		return "budget-conflicts"
-	case ReasonPropagationBudget:
-		return "budget-propagations"
 	case ReasonPivotBudget:
 		return "budget-pivots"
 	case ReasonCancelled:
@@ -65,8 +61,7 @@ func (r UnknownReason) String() string {
 // deadline expiry (the caller stopped waiting) and for unclassified causes.
 func (r UnknownReason) Retryable() bool {
 	switch r {
-	case ReasonConflictBudget, ReasonPropagationBudget, ReasonPivotBudget,
-		ReasonInterrupted:
+	case ReasonConflictBudget, ReasonPivotBudget, ReasonInterrupted:
 		return true
 	default:
 		return false
@@ -76,7 +71,7 @@ func (r UnknownReason) Retryable() bool {
 // Budget reports whether the reason is a resource-budget exhaustion.
 func (r UnknownReason) Budget() bool {
 	switch r {
-	case ReasonConflictBudget, ReasonPropagationBudget, ReasonPivotBudget:
+	case ReasonConflictBudget, ReasonPivotBudget:
 		return true
 	default:
 		return false
@@ -95,8 +90,6 @@ func ClassifyUnknown(err error) UnknownReason {
 		switch be.Resource {
 		case ResourceConflicts:
 			return ReasonConflictBudget
-		case ResourcePropagations:
-			return ReasonPropagationBudget
 		case ResourcePivots:
 			return ReasonPivotBudget
 		}

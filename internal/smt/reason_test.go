@@ -119,7 +119,6 @@ func TestClassifyUnknownTokens(t *testing.T) {
 	}{
 		{nil, ReasonNone, ""},
 		{&BudgetError{Resource: ResourceConflicts}, ReasonConflictBudget, "budget-conflicts"},
-		{&BudgetError{Resource: ResourcePropagations}, ReasonPropagationBudget, "budget-propagations"},
 		{&BudgetError{Resource: ResourcePivots}, ReasonPivotBudget, "budget-pivots"},
 		{context.Canceled, ReasonCancelled, "cancelled"},
 		{context.DeadlineExceeded, ReasonDeadline, "deadline"},

@@ -297,10 +297,10 @@ func (r *Result) Real(v RealVar) *big.Rat {
 }
 
 // SetBudget replaces the solver's resource budget. Budgets are applied per
-// Check: the SAT core baselines its conflict/propagation counters at every
-// call and the simplex pivot bound is offset by the pivots already spent, so
-// changing the budget between checks is safe even though the underlying
-// instance persists; retry-with-escalating-budget policies rely on this.
+// Check: the SAT core baselines its conflict counter at every call and the
+// simplex pivot bound is offset by the pivots already spent, so changing
+// the budget between checks is safe even though the underlying instance
+// persists; retry-with-escalating-budget policies rely on this.
 func (s *Solver) SetBudget(b Budget) { s.opts.Budget = b }
 
 // SetInterrupter replaces the fault-injection hook (nil clears it).
@@ -430,8 +430,6 @@ func classifyInterrupt(err error, b Budget) error {
 	switch {
 	case errors.Is(err, sat.ErrBudget):
 		return &BudgetError{Resource: ResourceConflicts, Limit: b.MaxConflicts}
-	case errors.Is(err, sat.ErrPropBudget):
-		return &BudgetError{Resource: ResourcePropagations, Limit: b.MaxPropagations}
 	case errors.Is(err, lra.ErrPivotBudget):
 		return &BudgetError{Resource: ResourcePivots, Limit: b.MaxPivots}
 	default:

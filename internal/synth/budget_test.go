@@ -95,15 +95,18 @@ func TestBudgetEscalationConverges(t *testing.T) {
 }
 
 // TestBudgetEscalationExhausted starts the ladder so low that its last
-// attempt (1·4³ = 64 propagations) still cannot decide a candidate: the
-// run must end in BudgetExhaustedError whose Reason is the solver's
+// attempt (1·4³ = 64 conflicts and pivots) still cannot decide a candidate:
+// the run must end in BudgetExhaustedError whose Reason is the solver's
 // budget, never a bogus architecture or ErrNoArchitecture.
 func TestBudgetEscalationExhausted(t *testing.T) {
-	req, err := CaseStudyRequirements(2, 5)
+	sys, err := grid.Case("ieee57")
 	if err != nil {
-		t.Fatalf("CaseStudyRequirements: %v", err)
+		t.Fatal(err)
 	}
-	req.Limits = Limits{InitialBudget: &smt.Budget{MaxPropagations: 1}}
+	sc := core.NewScenario(sys)
+	sc.AnyState = true
+	req := &Requirements{Attack: sc, MaxSecuredBuses: 23, Prune: true}
+	req.Limits = Limits{InitialBudget: &smt.Budget{MaxConflicts: 1, MaxPivots: 1}}
 	// The LP screen would answer these candidate checks without the SMT
 	// solver, and this test is specifically about the SMT budget ladder.
 	req.NoScreen = true
